@@ -22,6 +22,9 @@ val name : t -> int -> string
 
 val find : t -> string -> int option
 val find_exn : t -> string -> int
+(** Like {!find}, but allocates nothing when the name is present.
+    @raise Invalid_argument on an unknown name. *)
+
 val mem_name : t -> string -> bool
 val symbols : t -> int list
 val names : t -> string list

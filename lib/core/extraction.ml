@@ -149,7 +149,19 @@ type matcher = {
      right-to-left decides suffix ∈ L(E2). *)
   right_rev_dfa : Dfa.t;
   comp : compressed;
+  online : bool;
+      (* right side is Σ*: decided once here, since sessions and the
+         fused front-end ask on every page *)
 }
+
+let assemble expr ~left_dfa ~right_rev_dfa =
+  {
+    expr;
+    left_dfa;
+    right_rev_dfa;
+    comp = compress expr ~left_dfa ~right_rev_dfa;
+    online = Dfa_ops.is_universal right_rev_dfa;
+  }
 
 let compile expr =
   let left_dfa = Lang.dfa (left_lang expr) in
@@ -161,7 +173,7 @@ let compile expr =
      the hot path below. *)
   Dfa.validate left_dfa;
   Dfa.validate right_rev_dfa;
-  { expr; left_dfa; right_rev_dfa; comp = compress expr ~left_dfa ~right_rev_dfa }
+  assemble expr ~left_dfa ~right_rev_dfa
 
 (* Checksum-licensed constructor: the .rxc artifact loader decodes its
    DFAs under the same structural checks Dfa.validate performs (delta
@@ -176,7 +188,7 @@ let matcher_of_validated expr ~left_dfa ~right_rev_dfa =
     left_dfa.Dfa.alpha_size <> expect_alpha
     || right_rev_dfa.Dfa.alpha_size <> expect_alpha
   then invalid_arg "Extraction.matcher_of_validated: alphabet size mismatch";
-  { expr; left_dfa; right_rev_dfa; comp = compress expr ~left_dfa ~right_rev_dfa }
+  assemble expr ~left_dfa ~right_rev_dfa
 
 let matcher_expr m = m.expr
 let matcher_compressed m = m.comp
@@ -301,7 +313,7 @@ let classify = function
 
 let matcher_extract m w = classify (matcher_splits m w)
 
-let matcher_online m = Dfa_ops.is_universal m.right_rev_dfa
+let matcher_online m = m.online
 
 exception Not_online of { expr : string }
 
@@ -315,25 +327,50 @@ let () =
              expr)
     | _ -> None)
 
+(* The push cursor: a left-DFA state and a position.  For a Σ*-right
+   expression a mark read in a final left state is a split the moment it
+   is read — no suffix check is pending — so one step decides it. *)
+type cursor = {
+  c_dfa : Dfa.t;
+  c_mark : int;
+  mutable c_state : int;
+  mutable c_pos : int;
+}
+
+let cursor m =
+  if not m.online then raise (Not_online { expr = to_string m.expr });
+  {
+    c_dfa = m.left_dfa;
+    c_mark = m.expr.mark;
+    c_state = m.left_dfa.Dfa.start;
+    c_pos = 0;
+  }
+
+let cursor_pos c = c.c_pos
+
+(* The symbol check licenses unsafe_step as in matcher_splits. *)
+let cursor_step c a =
+  let d = c.c_dfa in
+  if a < 0 || a >= d.Dfa.alpha_size then
+    invalid_arg "Extraction.cursor_step: symbol out of range";
+  let hit = a = c.c_mark && Array.unsafe_get d.Dfa.finals c.c_state in
+  c.c_state <- Dfa.unsafe_step d c.c_state a;
+  c.c_pos <- c.c_pos + 1;
+  hit
+
+(* Each forced node steps a private copy of its predecessor's cursor, so
+   the sequence stays persistent: re-forcing any node replays the same
+   positions. *)
 let matcher_stream_splits m syms =
-  if not (matcher_online m) then
-    raise (Not_online { expr = to_string m.expr });
-  let mark = m.expr.mark in
-  let dfa = m.left_dfa in
-  let alpha = dfa.Dfa.alpha_size in
-  (* unfold over (remaining stream, left-DFA state, position); the
-     symbol check licenses unsafe_step as in matcher_splits *)
-  let rec next (syms, state, i) () =
+  let rec next syms c () =
     match syms () with
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (a, rest) ->
-        if a < 0 || a >= alpha then
-          invalid_arg "Extraction.matcher_stream_splits: symbol out of range";
-        let hit = a = mark && Array.unsafe_get dfa.Dfa.finals state in
-        let st' = (rest, Dfa.unsafe_step dfa state a, i + 1) in
-        if hit then Seq.Cons (i, next st') else next st' ()
+        let c = { c with c_state = c.c_state } in
+        let pos = c.c_pos in
+        if cursor_step c a then Seq.Cons (pos, next rest c) else next rest c ()
   in
-  next (syms, dfa.Dfa.start, 0)
+  next syms (cursor m)
 
 let splits t w =
   let l = left_lang t and r = right_lang t in

@@ -134,7 +134,8 @@ val matcher_extract :
 
 val matcher_online : matcher -> bool
 (** Whether the right side is Σ*, making one-pass streaming extraction
-    possible (no suffix check needed). *)
+    possible (no suffix check needed).  Decided once when the matcher
+    is built. *)
 
 exception Not_online of { expr : string }
 (** Streaming was requested on a matcher whose right side is not Σ*.
@@ -143,11 +144,38 @@ exception Not_online of { expr : string }
     [check]'s generic error path — can report [err=not_online] and
     exit 2 instead of dumping a backtrace. *)
 
+(** {2 Push cursor}
+
+    One-pass streaming for Σ*-right expressions: a left-DFA state plus
+    a position.  The caller pushes one symbol at a time; the step that
+    reads the mark in a final left state pins a split there and then,
+    because no suffix condition remains to check.  This is the one
+    stepping implementation behind both {!matcher_stream_splits} and
+    the serve daemon's sessions. *)
+
+type cursor
+(** Mutable; owned by one consumer at a time. *)
+
+val cursor : matcher -> cursor
+(** A cursor at position 0 in the left DFA's start state.
+    @raise Not_online if [not (matcher_online m)]. *)
+
+val cursor_step : cursor -> int -> bool
+(** Consume one symbol.  [true] iff this step pins a split, at position
+    [cursor_pos c - 1].  Allocates nothing.
+    @raise Invalid_argument on a symbol outside the alphabet (the
+    cursor is left unchanged). *)
+
+val cursor_pos : cursor -> int
+(** Symbols consumed so far. *)
+
 val matcher_stream_splits : matcher -> int Seq.t -> int Seq.t
 (** Lazily yield split positions while consuming a token stream — each
     position is emitted as soon as its prefix has been read, without
-    buffering the page.  Only defined for Σ*-right expressions, which is
-    what maximization produces for the §7 pipeline.
+    buffering the page.  A [Seq] adapter over {!cursor}; the result is
+    persistent (re-forcing a node replays the same positions).  Only
+    defined for Σ*-right expressions, which is what maximization
+    produces for the §7 pipeline.
     @raise Not_online if [not (matcher_online m)].
     @raise Invalid_argument (lazily, at the offending element) on a
     symbol outside the alphabet. *)

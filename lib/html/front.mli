@@ -69,7 +69,7 @@ val splits : table -> Extraction.matcher -> string -> (int list, string) result
 
     The same engine, fed chunk by chunk — the [serve] daemon's [page]
     frames push raw HTML fragments through one of these inside the
-    session fiber.  A construct split across a chunk boundary is
+    session.  A construct split across a chunk boundary is
     carried and re-scanned when more bytes arrive, so chunk boundaries
     never change the emitted sequence (the fuzz suite checks every
     split point). *)

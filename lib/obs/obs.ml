@@ -32,21 +32,31 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
+  (* The one escape table of every JSON this codebase writes: runs of
+     safe bytes are blitted; only the quote, the backslash and control
+     bytes are rewritten. *)
+  let add_escaped b s =
+    let hex = "0123456789abcdef" in
+    let n = String.length s in
+    let run = ref 0 in
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        if i > !run then Buffer.add_substring b s !run (i - !run);
+        run := i + 1;
         match c with
         | '"' -> Buffer.add_string b "\\\""
         | '\\' -> Buffer.add_string b "\\\\"
         | '\n' -> Buffer.add_string b "\\n"
         | '\r' -> Buffer.add_string b "\\r"
         | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+        | c ->
+            Buffer.add_string b "\\u00";
+            Buffer.add_char b hex.[Char.code c lsr 4];
+            Buffer.add_char b hex.[Char.code c land 15]
+      end
+    done;
+    if n > !run then Buffer.add_substring b s !run (n - !run)
 
   (* Buffer-based (not Format): the output must stay a single line
      regardless of margin settings. *)
@@ -59,7 +69,7 @@ module Json = struct
         else Buffer.add_string b "null"
     | Str s ->
         Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
+        add_escaped b s;
         Buffer.add_char b '"'
     | List l ->
         Buffer.add_char b '[';
@@ -75,7 +85,7 @@ module Json = struct
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char b ',';
             Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
+            add_escaped b k;
             Buffer.add_string b "\":";
             to_buf b v)
           kvs;
@@ -111,12 +121,45 @@ module Json = struct
      byte lines plus every truncation of a valid frame). *)
   exception Bad of string
 
+  let add_utf8 b code =
+    let byte x = Buffer.add_char b (Char.unsafe_chr x) in
+    if code < 0x80 then byte code
+    else if code < 0x800 then begin
+      byte (0xc0 lor (code lsr 6));
+      byte (0x80 lor (code land 0x3f))
+    end
+    else if code < 0x10000 then begin
+      byte (0xe0 lor (code lsr 12));
+      byte (0x80 lor ((code lsr 6) land 0x3f));
+      byte (0x80 lor (code land 0x3f))
+    end
+    else begin
+      byte (0xf0 lor (code lsr 18));
+      byte (0x80 lor ((code lsr 12) land 0x3f));
+      byte (0x80 lor ((code lsr 6) land 0x3f));
+      byte (0x80 lor (code land 0x3f))
+    end
+
   let of_string s =
     let n = String.length s in
     let pos = ref 0 in
     let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
     let peek () = if !pos < n then Some s.[!pos] else None in
     let advance () = incr pos in
+    (* exactly four hex digits at [i] (bounds are the caller's) *)
+    let hex4 i =
+      let digit c =
+        match c with
+        | '0' .. '9' -> Char.code c - 48
+        | 'a' .. 'f' -> Char.code c - 87
+        | 'A' .. 'F' -> Char.code c - 55
+        | _ -> -1
+      in
+      let d0 = digit s.[i] and d1 = digit s.[i + 1]
+      and d2 = digit s.[i + 2] and d3 = digit s.[i + 3] in
+      if d0 lor d1 lor d2 lor d3 < 0 then None
+      else Some ((d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3)
+    in
     let rec skip_ws () =
       match peek () with
       | Some (' ' | '\t' | '\n' | '\r') ->
@@ -160,25 +203,31 @@ module Json = struct
                  | 't' -> Buffer.add_char b '\t'
                  | 'u' ->
                      if !pos + 4 >= n then fail "truncated \\u escape";
-                     let hex = String.sub s (!pos + 1) 4 in
                      let code =
-                       try int_of_string ("0x" ^ hex)
-                       with _ -> fail "bad \\u escape"
+                       match hex4 (!pos + 1) with
+                       | Some code -> code
+                       | None -> fail "bad \\u escape"
                      in
-                     (* BMP code points as UTF-8; enough for a wire
-                        protocol whose field names are ASCII *)
-                     if code < 0x80 then Buffer.add_char b (Char.chr code)
-                     else if code < 0x800 then begin
-                       Buffer.add_char b (Char.chr (0xc0 lor (code lsr 6)));
-                       Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-                     end
-                     else begin
-                       Buffer.add_char b (Char.chr (0xe0 lor (code lsr 12)));
-                       Buffer.add_char b
-                         (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-                       Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-                     end;
-                     pos := !pos + 4
+                     pos := !pos + 4;
+                     (* a high surrogate escape followed by a low one
+                        is one supplementary code point; any other
+                        surrogate is U+FFFD, never a CESU-8 sequence *)
+                     let code =
+                       if code land 0xfc00 = 0xd800 then
+                         match
+                           if !pos + 6 < n && s.[!pos + 1] = '\\'
+                              && s.[!pos + 2] = 'u'
+                           then hex4 (!pos + 3)
+                           else None
+                         with
+                         | Some lo when lo land 0xfc00 = 0xdc00 ->
+                             pos := !pos + 6;
+                             0x10000 + ((code - 0xd800) lsl 10) + (lo - 0xdc00)
+                         | _ -> 0xfffd
+                       else if code land 0xfc00 = 0xdc00 then 0xfffd
+                       else code
+                     in
+                     add_utf8 b code
                  | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
               advance ();
               go ()

@@ -227,6 +227,12 @@ module Json : sig
     | Obj of (string * t) list
 
   val to_string : t -> string
+
+  val add_escaped : Buffer.t -> string -> unit
+  (** Append the body of a JSON string literal (no quotes): the escape
+      table {!to_string} uses, for writers that emit JSON without
+      building a [t]. *)
+
   val member : string -> t -> t
   (** Field of an [Obj], [Null] if absent or not an object. *)
 
@@ -244,7 +250,10 @@ module Json : sig
       or [Error] (with an offset-bearing reason), never an exception —
       the serve frame decoder and its fuzz suite rely on this.
       Nesting is capped (64 levels) so adversarial input cannot blow
-      the stack; trailing bytes after the value are rejected. *)
+      the stack; trailing bytes after the value are rejected.  A [\u]
+      escape takes exactly four hex digits; a high/low surrogate pair
+      decodes to one 4-byte UTF-8 code point, and a lone surrogate to
+      U+FFFD. *)
 end
 
 val register_provider : string -> (unit -> Json.t) -> unit

@@ -102,8 +102,297 @@ let bytes_for id frames =
   |> List.filter (fun f -> frame_id f = Some id)
   |> List.map Frame.encode
 
+(* --- frame codec references and generators --- *)
+
+(* The encoder as it was before [Frame.encode_into]: an [Obs.Json.Obj]
+   per frame, printed by [Obs.Json.to_string].  The byte-identity
+   reference for the direct writer. *)
+let reference_encode out =
+  let open Obs.Json in
+  to_string
+    (match out with
+    | Frame.Opened { id } -> Obj [ ("ok", Str "opened"); ("id", Int id) ]
+    | Frame.Split { id; pos } -> Obj [ ("split", Int pos); ("id", Int id) ]
+    | Frame.Closed { id; splits; tokens } ->
+        Obj
+          [
+            ("ok", Str "closed");
+            ("id", Int id);
+            ("splits", Int splits);
+            ("tokens", Int tokens);
+          ]
+    | Frame.Healed { generation; used } ->
+        Obj
+          [
+            ("ok", Str "healed");
+            ("generation", Int generation);
+            ("used", Int used);
+          ]
+    | Frame.Err_decode { reason } ->
+        Obj [ ("err", Str "decode"); ("reason", Str reason) ]
+    | Frame.Err_proto { id; reason } ->
+        Obj [ ("err", Str "proto"); ("id", Int id); ("reason", Str reason) ]
+    | Frame.Err_shed { id; retry_after_ms } ->
+        Obj
+          [
+            ("err", Str "shed");
+            ("id", Int id);
+            ("retry_after_ms", Int retry_after_ms);
+          ]
+    | Frame.Err_refused { id } -> Obj [ ("err", Str "refused"); ("id", Int id) ]
+    | Frame.Err_budget { id; stage; spent; limit } ->
+        Obj
+          [
+            ("err", Str "budget");
+            ("id", Int id);
+            ("stage", Str stage);
+            ("spent", Int spent);
+            ("limit", Int limit);
+          ]
+    | Frame.Err_fault { id; reason } ->
+        Obj [ ("err", Str "fault"); ("id", Int id); ("reason", Str reason) ])
+
+(* Strings a hostile client or a failing session can put on the wire:
+   quotes, backslashes, control bytes, slashes, UTF-8 and stray high
+   bytes. *)
+let gen_hostile =
+  QCheck.Gen.(
+    string_size (int_bound 24)
+      ~gen:
+        (oneofl
+           [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '/'; 'a'; 'p';
+             'u'; '0'; '<'; '>'; ' '; '\xc3'; '\xa9'; '\xff' ]))
+
+(* A decoded frame and its canonical line: keys in the documented
+   order, no whitespace — the shapes the fast path is specialised to. *)
+let canonical frame =
+  let open Obs.Json in
+  match frame with
+  | Frame.Open { id; fuel; deadline_ms } ->
+      let opt k = function Some v -> [ (k, Int v) ] | None -> [] in
+      [ ("op", Str "open"); ("id", Int id) ]
+      @ opt "fuel" fuel @ opt "deadline_ms" deadline_ms
+  | Frame.Tokens { id; syms } ->
+      [
+        ("op", Str "tokens");
+        ("id", Int id);
+        ("syms", List (List.map (fun s -> Str s) syms));
+      ]
+  | Frame.Page { id; html } ->
+      [ ("op", Str "page"); ("id", Int id); ("html", Str html) ]
+  | Frame.Close { id } -> [ ("op", Str "close"); ("id", Int id) ]
+
+let gen_frame =
+  let open QCheck.Gen in
+  (* the fast path takes at most 18 digits; wider ints are mutations *)
+  let widest = 999_999_999_999_999_999 in
+  let gen_int =
+    oneof [ int_bound 100; int_bound widest; return 0; return widest ]
+  in
+  let* id = gen_int in
+  oneof
+    [
+      (let* fuel = opt gen_int in
+       let* deadline_ms = opt gen_int in
+       return (Frame.Open { id; fuel; deadline_ms }));
+      map
+        (fun syms -> Frame.Tokens { id; syms })
+        (list_size (int_bound 5) gen_hostile);
+      map (fun html -> Frame.Page { id; html }) gen_hostile;
+      return (Frame.Close { id });
+    ]
+
+let line_of frame = line (canonical frame)
+
+(* The decoder contract: [decode] answers exactly what the generic
+   decoder answers — the fast path is invisible. *)
+let decoders_agree l = Frame.decode l = Frame.decode_generic l
+
+(* Deviations from the canonical shapes, each one a reason for the fast
+   path to hand over to the generic decoder. *)
+type mutation =
+  | Swap_keys of int
+  | Duplicate_key of int
+  | Extra_field
+  | Whitespace of int * char
+  | Escape_slash
+  | Escape_u of char
+  | Surrogates
+  | Id_plus
+  | Id_leading_zero
+  | Id_negative
+  | Id_overflow
+
+let replace_all s ~sub ~by =
+  let b = Buffer.create (String.length s) in
+  let n = String.length sub in
+  let i = ref 0 in
+  while !i < String.length s do
+    if !i + n <= String.length s && String.sub s !i n = sub then begin
+      Buffer.add_string b by;
+      i := !i + n
+    end
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* The fast path takes every canonical line — except one whose strings
+   hold control bytes, which the printer writes as [\u] escapes, left
+   to the generic decoder. *)
+let fast_takes frame =
+  let l = line_of frame in
+  match Frame.decode_fast l with
+  | Some f -> f = frame
+  | None -> replace_all l ~sub:{|\u|} ~by:"" <> l
+
+let mutate frame m =
+  let fields = canonical frame in
+  let n = List.length fields in
+  let id_with digits =
+    replace_all (line fields) ~sub:{|"id":|} ~by:({|"id":|} ^ digits)
+  in
+  match m with
+  | Swap_keys k ->
+      let a = Array.of_list fields in
+      let i = k mod n and j = (k + 1) mod n in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t;
+      line (Array.to_list a)
+  | Duplicate_key k -> line (fields @ [ List.nth fields (k mod n) ])
+  | Extra_field -> line (fields @ [ ("trace", Obs.Json.Str "x") ])
+  | Whitespace (k, c) ->
+      let l = line fields in
+      let k = k mod (String.length l + 1) in
+      String.sub l 0 k ^ String.make 1 c ^ String.sub l k (String.length l - k)
+  | Escape_slash -> replace_all (line fields) ~sub:"/" ~by:{|\/|}
+  | Escape_u c ->
+      replace_all (line fields) ~sub:(String.make 1 c)
+        ~by:(Printf.sprintf "\\u%04x" (Char.code c))
+  | Surrogates -> replace_all (line fields) ~sub:"u" ~by:{|\ud83d\ude00|}
+  | Id_plus -> id_with "+"
+  | Id_leading_zero -> id_with "0"
+  | Id_negative -> id_with "-"
+  | Id_overflow -> id_with "99999999999999999999"
+
+let gen_mutation =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun k -> Swap_keys k) small_nat;
+      map (fun k -> Duplicate_key k) small_nat;
+      return Extra_field;
+      map2
+        (fun k c -> Whitespace (k, c))
+        small_nat
+        (oneofl [ ' '; '\t'; '\n'; '\r' ]);
+      return Escape_slash;
+      map (fun c -> Escape_u c) (oneofl [ 'a'; 'p'; 'o'; '/'; '<' ]);
+      return Surrogates;
+      return Id_plus;
+      return Id_leading_zero;
+      return Id_negative;
+      return Id_overflow;
+    ]
+
+let print_frame f = String.escaped (line_of f)
+
+let print_outgoing f = String.escaped (reference_encode f)
+
 let tests ~count =
   [
+    QCheck.Test.make ~count
+      ~name:"serve: fast decode ≡ generic on soup and truncations"
+      (QCheck.pair Oracle_soup.arb_bytes
+         (QCheck.make
+            ~print:(fun fs -> String.concat " " (List.map print_frame fs))
+            QCheck.Gen.(
+              let* id = int_bound 1_000_000 in
+              let* syms = list_size (int_bound 4) gen_hostile in
+              let* html = gen_hostile in
+              let* fuel = opt (int_bound 10_000) in
+              let* deadline_ms = opt (int_bound 10_000) in
+              return
+                [
+                  Frame.Open { id; fuel; deadline_ms };
+                  Frame.Tokens { id; syms };
+                  Frame.Page { id; html };
+                  Frame.Close { id };
+                ])))
+      (fun (soup, frames) ->
+        decoders_agree soup
+        && List.for_all
+             (fun f ->
+               let l = line_of f in
+               fast_takes f
+               && Frame.decode l = Ok f
+               && List.for_all
+                    (fun k -> decoders_agree (String.sub l 0 k))
+                    (List.init (String.length l) Fun.id))
+             frames);
+    QCheck.Test.make ~count
+      ~name:"serve: fast decode ≡ generic on mutated frames"
+      (QCheck.make
+         ~print:(fun (f, m) -> String.escaped (mutate f m))
+         QCheck.Gen.(pair gen_frame gen_mutation))
+      (fun (f, m) ->
+        fast_takes f && decoders_agree (mutate f m));
+    QCheck.Test.make ~count
+      ~name:"serve: encode_into ≡ Obs.Json printer, hostile strings"
+      (QCheck.make
+         ~print:(fun fs -> String.concat " " (List.map print_outgoing fs))
+         QCheck.Gen.(
+           let* a = oneof [ int; small_nat; return min_int; return max_int ] in
+           let* b = small_nat in
+           let* r = gen_hostile in
+           let* st = gen_hostile in
+           return
+             Frame.
+               [
+                 Opened { id = a };
+                 Split { id = b; pos = a };
+                 Closed { id = a; splits = b; tokens = a };
+                 Healed { generation = b; used = a };
+                 Err_decode { reason = r };
+                 Err_proto { id = a; reason = r };
+                 Err_shed { id = b; retry_after_ms = a };
+                 Err_refused { id = a };
+                 Err_budget { id = b; stage = st; spent = a; limit = b };
+                 Err_fault { id = a; reason = r };
+               ]))
+      (fun frames ->
+        let b = Buffer.create 1 in
+        List.for_all
+          (fun f ->
+            Buffer.clear b;
+            Buffer.add_char b '\n';
+            Frame.encode_into b f;
+            let want = reference_encode f in
+            Frame.encode f = want && Buffer.contents b = "\n" ^ want)
+          frames);
+    QCheck.Test.make ~count
+      ~name:"serve: cursor ≡ matcher_stream_splits ≡ matcher_splits"
+      (Oracle_gen.arb_extraction_word_case ())
+      (fun (e, w) ->
+        let m = Extraction.compile (onlineify e) in
+        let c = Extraction.cursor m in
+        let pushed =
+          Array.fold_left
+            (fun acc a ->
+              let pos = Extraction.cursor_pos c in
+              if Extraction.cursor_step c a then pos :: acc else acc)
+            [] w
+          |> List.rev
+        in
+        let stream = Extraction.matcher_stream_splits m (Array.to_seq w) in
+        Extraction.cursor_pos c = Array.length w
+        && pushed = Extraction.matcher_splits m w
+        && List.of_seq stream = pushed
+        (* persistent: a second traversal replays the same positions *)
+        && List.of_seq stream = pushed);
     QCheck.Test.make ~count
       ~name:"serve: streamed sessions ≡ offline matcher_splits, jobs 1/2/4"
       (Oracle_gen.arb_extraction_word_case ())

@@ -12,6 +12,16 @@
     budget must starve only its own session while ample fuel is
     unobservable.  {!Frame.decode} is checked total (any byte string
     answers [Ok] or [Error], never an exception) and inverse to the
-    frame builders. *)
+    frame builders.
+
+    The lean hot path is checked against the code it replaced: the
+    fast decoder against the generic one (byte soup, every truncation
+    of the four canonical shapes, and canonical frames mutated by key
+    order, duplicates, extra fields, whitespace, escapes and
+    non-canonical integers), {!Frame.encode_into} against the
+    [Obs.Json] printer of the old [Obj] form for every outgoing
+    constructor with hostile strings, and the push
+    {!Extraction.cursor} against {!Extraction.matcher_stream_splits}
+    and the offline {!Extraction.matcher_splits}. *)
 
 val tests : count:int -> QCheck.Test.t list

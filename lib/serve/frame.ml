@@ -50,7 +50,9 @@ let session_id j =
 
 let ( let* ) = Result.bind
 
-let decode ?(max_bytes = default_max_bytes) line =
+(* The generic decoder: the reference for the fast path below and the
+   only source of error reasons. *)
+let decode_generic ?(max_bytes = default_max_bytes) line =
   if String.length line > max_bytes then
     Error
       (Printf.sprintf "oversized frame: %d bytes exceeds the %d-byte cap"
@@ -91,51 +93,282 @@ let decode ?(max_bytes = default_max_bytes) line =
         | _ -> Error "\"op\" must be a string")
     | Ok _ -> Error "frame must be a JSON object"
 
-let encode out =
-  let open Obs.Json in
-  let j =
-    match out with
-    | Opened { id } -> Obj [ ("ok", Str "opened"); ("id", Int id) ]
-    | Split { id; pos } -> Obj [ ("split", Int pos); ("id", Int id) ]
-    | Closed { id; splits; tokens } ->
-        Obj
-          [
-            ("ok", Str "closed");
-            ("id", Int id);
-            ("splits", Int splits);
-            ("tokens", Int tokens);
-          ]
-    | Healed { generation; used } ->
-        Obj
-          [
-            ("ok", Str "healed");
-            ("generation", Int generation);
-            ("used", Int used);
-          ]
-    | Err_decode { reason } ->
-        Obj [ ("err", Str "decode"); ("reason", Str reason) ]
-    | Err_proto { id; reason } ->
-        Obj [ ("err", Str "proto"); ("id", Int id); ("reason", Str reason) ]
-    | Err_shed { id; retry_after_ms } ->
-        Obj
-          [
-            ("err", Str "shed");
-            ("id", Int id);
-            ("retry_after_ms", Int retry_after_ms);
-          ]
-    | Err_refused { id } -> Obj [ ("err", Str "refused"); ("id", Int id) ]
-    | Err_budget { id; stage; spent; limit } ->
-        Obj
-          [
-            ("err", Str "budget");
-            ("id", Int id);
-            ("stage", Str stage);
-            ("spent", Int spent);
-            ("limit", Int limit);
-          ]
-    | Err_fault { id; reason } ->
-        Obj [ ("err", Str "fault"); ("id", Int id); ("reason", Str reason) ]
+(* --- the fast path ---
+
+   One left-to-right pass over the four canonical shapes, keys in the
+   documented order and no whitespace:
+
+     {"op":"open","id":N[,"fuel":N][,"deadline_ms":N]}
+     {"op":"tokens","id":N,"syms":[S,...]}
+     {"op":"page","id":N,"html":S}
+     {"op":"close","id":N}
+
+   Every position either matches the shape or raises [Bail], and the
+   caller then runs the generic decoder, so the fast path only ever
+   produces answers the generic one would: it accepts a subset of the
+   frames the generic path accepts, and decodes them the same way. *)
+
+exception Bail
+
+type reader = { s : string; mutable i : int }
+
+let peek c =
+  if c.i < String.length c.s then String.unsafe_get c.s c.i else '\000'
+
+(* the literal [l] at the read position *)
+let lit c l =
+  let k = String.length l in
+  if c.i + k > String.length c.s then raise Bail;
+  for j = 0 to k - 1 do
+    if String.unsafe_get c.s (c.i + j) <> String.unsafe_get l j then raise Bail
+  done;
+  c.i <- c.i + k
+
+(* A non-negative integer in canonical form: "0", or a non-zero digit
+   and at most 17 more — no sign, no leading zero, no overflow. *)
+let int c =
+  let start = c.i in
+  let rec go v =
+    match peek c with
+    | '0' .. '9' as d ->
+        c.i <- c.i + 1;
+        go ((v * 10) + Char.code d - 48)
+    | _ -> v
   in
-  to_string j
+  match peek c with
+  | '0' -> (
+      c.i <- c.i + 1;
+      match peek c with '0' .. '9' -> raise Bail | _ -> 0)
+  | '1' .. '9' ->
+      let v = go 0 in
+      if c.i - start > 18 then raise Bail;
+      v
+  | _ -> raise Bail
+
+let unescaped = function
+  | '"' -> '"'
+  | '\\' -> '\\'
+  | '/' -> '/'
+  | 'b' -> '\b'
+  | 'f' -> '\012'
+  | 'n' -> '\n'
+  | 'r' -> '\r'
+  | 't' -> '\t'
+  | _ -> raise Bail
+
+(* A string literal.  A first scan finds the closing quote and counts
+   the escapes, validating each; an escape-free string is then one
+   [String.sub], and an escaped one is one exact-size [Bytes] filled by
+   blitting the runs between escapes.  [\u] bails: its decoding
+   (surrogates, UTF-8) belongs to the generic path. *)
+let str c =
+  lit c "\"";
+  let s = c.s and n = String.length c.s in
+  let start = c.i in
+  let rec scan j esc =
+    if j >= n then raise Bail
+    else
+      match String.unsafe_get s j with
+      | '"' ->
+          c.i <- j + 1;
+          esc
+      | '\\' ->
+          if j + 1 >= n then raise Bail;
+          ignore (unescaped (String.unsafe_get s (j + 1)));
+          scan (j + 2) (esc + 1)
+      | _ -> scan (j + 1) esc
+  in
+  let esc = scan start 0 in
+  let stop = c.i - 1 in
+  if esc = 0 then String.sub s start (stop - start)
+  else begin
+    let b = Bytes.create (stop - start - esc) in
+    let rec backslash k =
+      if k < stop && String.unsafe_get s k <> '\\' then backslash (k + 1)
+      else k
+    in
+    let rec blit src dst =
+      let k = backslash src in
+      Bytes.blit_string s src b dst (k - src);
+      if k < stop then begin
+        let dst = dst + (k - src) in
+        Bytes.unsafe_set b dst (unescaped (String.unsafe_get s (k + 1)));
+        blit (k + 2) (dst + 1)
+      end
+    in
+    blit start 0;
+    Bytes.unsafe_to_string b
+  end
+
+(* ["S",...]: built in order, no reversal *)
+let rec syms c =
+  let x = str c in
+  match peek c with
+  | ',' ->
+      c.i <- c.i + 1;
+      x :: syms c
+  | _ ->
+      lit c "]";
+      [ x ]
+
+let close c =
+  lit c "}";
+  if c.i <> String.length c.s then raise Bail
+
+let fast line =
+  let c = { s = line; i = 0 } in
+  lit c "{\"op\":\"";
+  match peek c with
+  | 'o' -> (
+      lit c "open\",\"id\":";
+      let id = int c in
+      match peek c with
+      | '}' ->
+          close c;
+          Open { id; fuel = None; deadline_ms = None }
+      | _ -> (
+          lit c ",\"";
+          match peek c with
+          | 'f' ->
+              lit c "fuel\":";
+              let fuel = Some (int c) in
+              if peek c = '}' then begin
+                close c;
+                Open { id; fuel; deadline_ms = None }
+              end
+              else begin
+                lit c ",\"deadline_ms\":";
+                let deadline_ms = Some (int c) in
+                close c;
+                Open { id; fuel; deadline_ms }
+              end
+          | _ ->
+              lit c "deadline_ms\":";
+              let deadline_ms = Some (int c) in
+              close c;
+              Open { id; fuel = None; deadline_ms }))
+  | 't' ->
+      lit c "tokens\",\"id\":";
+      let id = int c in
+      lit c ",\"syms\":[";
+      let syms =
+        if peek c = ']' then begin
+          c.i <- c.i + 1;
+          []
+        end
+        else syms c
+      in
+      close c;
+      Tokens { id; syms }
+  | 'p' ->
+      lit c "page\",\"id\":";
+      let id = int c in
+      lit c ",\"html\":";
+      let html = str c in
+      close c;
+      Page { id; html }
+  | 'c' ->
+      lit c "close\",\"id\":";
+      let id = int c in
+      close c;
+      Close { id }
+  | _ -> raise Bail
+
+let decode_fast line =
+  match fast line with f -> Some f | exception Bail -> None
+
+let decode ?(max_bytes = default_max_bytes) line =
+  if String.length line > max_bytes then decode_generic ~max_bytes line
+  else
+    match fast line with
+    | f -> Ok f
+    | exception Bail -> decode_generic ~max_bytes line
+
+(* --- encoding: straight into the caller's buffer --- *)
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+let add_str b s =
+  Buffer.add_char b '"';
+  Obs.Json.add_escaped b s;
+  Buffer.add_char b '"'
+
+let encode_into b out =
+  match out with
+  | Opened { id } ->
+      Buffer.add_string b {|{"ok":"opened","id":|};
+      add_int b id;
+      Buffer.add_char b '}'
+  | Split { id; pos } ->
+      Buffer.add_string b {|{"split":|};
+      add_int b pos;
+      Buffer.add_string b {|,"id":|};
+      add_int b id;
+      Buffer.add_char b '}'
+  | Closed { id; splits; tokens } ->
+      Buffer.add_string b {|{"ok":"closed","id":|};
+      add_int b id;
+      Buffer.add_string b {|,"splits":|};
+      add_int b splits;
+      Buffer.add_string b {|,"tokens":|};
+      add_int b tokens;
+      Buffer.add_char b '}'
+  | Healed { generation; used } ->
+      Buffer.add_string b {|{"ok":"healed","generation":|};
+      add_int b generation;
+      Buffer.add_string b {|,"used":|};
+      add_int b used;
+      Buffer.add_char b '}'
+  | Err_decode { reason } ->
+      Buffer.add_string b {|{"err":"decode","reason":|};
+      add_str b reason;
+      Buffer.add_char b '}'
+  | Err_proto { id; reason } ->
+      Buffer.add_string b {|{"err":"proto","id":|};
+      add_int b id;
+      Buffer.add_string b {|,"reason":|};
+      add_str b reason;
+      Buffer.add_char b '}'
+  | Err_shed { id; retry_after_ms } ->
+      Buffer.add_string b {|{"err":"shed","id":|};
+      add_int b id;
+      Buffer.add_string b {|,"retry_after_ms":|};
+      add_int b retry_after_ms;
+      Buffer.add_char b '}'
+  | Err_refused { id } ->
+      Buffer.add_string b {|{"err":"refused","id":|};
+      add_int b id;
+      Buffer.add_char b '}'
+  | Err_budget { id; stage; spent; limit } ->
+      Buffer.add_string b {|{"err":"budget","id":|};
+      add_int b id;
+      Buffer.add_string b {|,"stage":|};
+      add_str b stage;
+      Buffer.add_string b {|,"spent":|};
+      add_int b spent;
+      Buffer.add_string b {|,"limit":|};
+      add_int b limit;
+      Buffer.add_char b '}'
+  | Err_fault { id; reason } ->
+      Buffer.add_string b {|{"err":"fault","id":|};
+      add_int b id;
+      Buffer.add_string b {|,"reason":|};
+      add_str b reason;
+      Buffer.add_char b '}'
+
+let encode out =
+  let b = Buffer.create 64 in
+  encode_into b out;
+  Buffer.contents b
 
 let pp_outgoing ppf out = Format.pp_print_string ppf (encode out)

@@ -33,6 +33,20 @@
       {"err":"fault","id":7,"reason":"…"}        session poisoned and isolated
     v}
 
+    {b Fast path.}  {!decode} first tries one left-to-right pass
+    specialised to the canonical incoming shapes above: keys in the
+    documented order ([op], [id], then [fuel]/[deadline_ms], [syms] or
+    [html]), no whitespace.  It builds [syms] directly and unescapes
+    [html] by blitting escape-free runs into one exact-size string, with
+    no JSON tree.  Any deviation — another key order, whitespace, a
+    duplicate or unknown key, a [\u] escape, a sign, a leading zero, an
+    integer of more than 18 digits, a non-object — falls back to the
+    generic decoder ({!Obs.Json.of_string} plus a schema check), which
+    stays the reference and the only source of error reasons.  The fast
+    path accepts only frames the generic path accepts, and decodes them
+    the same way, so {!decode}'s answer on every input — totality and
+    error reasons included — is the generic decoder's.
+
     {b Totality.}  {!decode} never raises, whatever the bytes: the
     JSON layer ({!Obs.Json.of_string}) is depth-capped and total, the
     schema layer answers [Error] on every violation, and an input
@@ -80,7 +94,26 @@ val decode : ?max_bytes:int -> string -> (incoming, string) result
 (** Decode one line (without its newline).  Total: any byte string
     answers [Ok] or [Error reason], never an exception. *)
 
+val encode_into : Buffer.t -> outgoing -> unit
+(** Append one JSON line, without the trailing newline, writing each
+    constructor straight into the buffer with {!Obs.Json.add_escaped}'s
+    escape table.  The daemon encodes a whole batch into one reused
+    buffer this way. *)
+
 val encode : outgoing -> string
-(** One JSON line, without the trailing newline. *)
+(** {!encode_into} on a fresh buffer. *)
 
 val pp_outgoing : Format.formatter -> outgoing -> unit
+
+(** {1 Reference decoders}
+
+    Exposed for the serve oracle layer, which checks
+    [decode ≡ decode_generic] and that the fast path takes the
+    canonical frames. *)
+
+val decode_generic : ?max_bytes:int -> string -> (incoming, string) result
+(** The generic decoder alone. *)
+
+val decode_fast : string -> incoming option
+(** The fast path alone: [None] where it falls back (size cap not
+    applied). *)

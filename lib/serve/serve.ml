@@ -38,48 +38,58 @@ let splitter limit = { carry = Buffer.create 4096; limit }
 
 let splitter_add sp data start len =
   let keep = min len (sp.limit + 1 - Buffer.length sp.carry) in
-  if keep > 0 then Buffer.add_substring sp.carry data start keep
+  if keep > 0 then Buffer.add_subbytes sp.carry data start keep
 
 let splitter_take sp =
   let line = Buffer.contents sp.carry in
   Buffer.clear sp.carry;
   line
 
-(* Complete lines of [data] given the carried tail; the new tail stays
-   in the splitter. *)
-let split_lines sp data =
-  let n = String.length data in
+(* Complete lines of the first [n] bytes of the read buffer [data],
+   given the carried tail; the new tail stays in the splitter.  Each
+   line is copied once, from [data] through the carry. *)
+let split_lines sp data n =
+  let rec newline i =
+    if i < n && Bytes.unsafe_get data i <> '\n' then newline (i + 1) else i
+  in
   let rec go start acc =
-    match String.index_from_opt data start '\n' with
-    | Some i ->
-        splitter_add sp data start (i - start);
-        go (i + 1) (splitter_take sp :: acc)
-    | None ->
-        splitter_add sp data start (n - start);
-        List.rev acc
+    let i = newline start in
+    splitter_add sp data start (i - start);
+    if i < n then go (i + 1) (splitter_take sp :: acc) else List.rev acc
   in
   go 0 []
 
-(* A write failure means this reader is gone: answer [false] so the
-   caller stops feeding the connection and heads for the drain.  The
-   process-global [stop_requested] stays signal-only — in socket mode
-   the daemon outlives any one client, and a mid-write EPIPE must not
-   keep the next connection from being accepted. *)
-let emit oc frames =
-  try
-    List.iter
-      (fun f ->
-        output_string oc (Frame.encode f);
-        output_char oc '\n')
-      frames;
-    flush oc;
-    true
-  with Sys_error _ -> false
+(* The batch's frames are encoded into [out], one buffer reused for the
+   whole connection, and written in one go.  A write failure means this
+   reader is gone: answer [false] so the caller stops feeding the
+   connection and heads for the drain.  The process-global
+   [stop_requested] stays signal-only — in socket mode the daemon
+   outlives any one client, and a mid-write EPIPE must not keep the next
+   connection from being accepted. *)
+let out_keep = 65536 (* capacity [out] keeps between batches *)
+
+let emit oc out frames =
+  List.iter
+    (fun f ->
+      Frame.encode_into out f;
+      Buffer.add_char out '\n')
+    frames;
+  let ok =
+    try
+      Buffer.output_buffer oc out;
+      flush oc;
+      true
+    with Sys_error _ -> false
+  in
+  (* a rare giant frame (an error echoing a huge field) must not pin
+     its capacity for the life of the connection *)
+  if Buffer.length out > out_keep then Buffer.reset out else Buffer.clear out;
+  ok
 
 (* Feed [lines] to the supervisor in batches of at most [batch_max],
    emitting after each batch so a long burst still streams answers.
    Answers [false] as soon as a write fails. *)
-let process cfg sup oc lines =
+let process cfg sup oc out lines =
   let rec go = function
     | [] -> true
     | lines ->
@@ -89,7 +99,8 @@ let process cfg sup oc lines =
           | l :: rest -> take (k - 1) (l :: acc) rest
         in
         let batch, rest = take cfg.batch_max [] lines in
-        if emit oc (Supervisor.handle_batch sup batch) then go rest else false
+        if emit oc out (Supervisor.handle_batch sup batch) then go rest
+        else false
   in
   (* skip blank lines: convenient for hand-driven sessions, and a
      trailing newline at EOF is not a frame *)
@@ -101,6 +112,7 @@ let process cfg sup oc lines =
 let serve_fd cfg sup fd oc =
   let chunk = Bytes.create 65536 in
   let sp = splitter Frame.default_max_bytes in
+  let out = Buffer.create out_keep in
   let rec loop () =
     if Atomic.get stop_requested then ()
     else
@@ -115,13 +127,12 @@ let serve_fd cfg sup fd oc =
              exits drop their mid-line tail instead of misparsing a
              truncated prefix *)
           if Buffer.length sp.carry > 0 then
-            ignore (process cfg sup oc [ splitter_take sp ])
+            ignore (process cfg sup oc out [ splitter_take sp ])
       | n ->
-          let lines = split_lines sp (Bytes.sub_string chunk 0 n) in
-          if process cfg sup oc lines then loop ()
+          if process cfg sup oc out (split_lines sp chunk n) then loop ()
   in
   loop ();
-  ignore (emit oc (Supervisor.drain sup))
+  ignore (emit oc out (Supervisor.drain sup))
 
 let print_exit_stats ~heal ~rt0 ~pool0 =
   Format.eprintf "%a" Supervisor.pp_stats (Supervisor.stats ());

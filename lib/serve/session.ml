@@ -4,23 +4,12 @@ type event =
   | Bad_symbol of string
   | Faulted of string
 
-(* The fiber protocol: the matcher's input Seq performs [Await] for
-   every element; [Some a] is the next token, [None] is end-of-stream.
-   The deep handler parks the one-shot continuation in [fiber];
-   resuming runs the matcher exactly until it needs the next token
-   (emitting splits into [pending] on the way) or until it finishes. *)
-type _ Effect.t += Await : int option Effect.t
-
-type fiber =
-  | Suspended of (int option, unit) Effect.Deep.continuation
-  | Finished
-
 type t = {
   sid : int;
   sordinal : int;
   sgeneration : int;
       (* the wrapper generation this session was admitted under; a heal
-         swap mid-stream never migrates a live fiber *)
+         swap mid-stream never migrates a live session *)
   alpha : Alphabet.t;
   front : Front.table option;
       (* shared fused-front-end token table (supervisor builds one per
@@ -32,7 +21,8 @@ type t = {
          when healing is off, so the hot path allocates nothing *)
   capture_max : int;
   mutable capture_overflow : bool;
-  mutable fiber : fiber;
+  cursor : Extraction.cursor;
+      (* the whole matcher state: a left-DFA state and a position *)
   mutable live : bool;
   mutable failed : bool;
       (* a terminal event (bad symbol / budget / fault) killed the
@@ -64,82 +54,24 @@ let create ~matcher ~alpha ~id ~ordinal ?front ?fuel ?deadline_ms
              ~fuel:(Option.value fuel ~default:max_int)
              ?deadline_ms ())
   in
-  let t =
-    {
-      sid = id;
-      sordinal = ordinal;
-      sgeneration = generation;
-      alpha;
-      front;
-      budget;
-      capture = Option.map (fun _ -> Buffer.create 1024) capture;
-      capture_max = Option.value capture ~default:0;
-      capture_overflow = false;
-      fiber = Finished;
-      live = true;
-      failed = false;
-      tokens = 0;
-      splits = 0;
-      f_stream = None;
-      pending = [];
-    }
-  in
-  let rec input () =
-    match Effect.perform Await with
-    | None -> Seq.Nil
-    | Some a ->
-        (* one fuel unit per token: the serve analogue of the
-           one-unit-per-DFA-state discipline of lib/automata *)
-        Guard.charge ~stage:"stream" 1;
-        Seq.Cons (a, input)
-  in
-  let run () =
-    Seq.iter
-      (fun pos ->
-        t.splits <- t.splits + 1;
-        t.pending <- Split pos :: t.pending)
-      (Extraction.matcher_stream_splits matcher input)
-  in
-  (* Runs until the first [Await] (no input consumed yet, so no charge
-     can fire here); [Extraction.Not_online] propagates via [exnc]. *)
-  Effect.Deep.match_with run ()
-    {
-      retc = (fun () -> t.fiber <- Finished);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Await ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  t.fiber <- Suspended k)
-          | _ -> None);
-    };
-  t
-
-(* Resume with the next token (or end-of-stream).  The fiber either
-   re-suspends (handler stores the new continuation), finishes (retc),
-   or lets an exception through — in which case its stack has unwound
-   and [fiber] correctly stays [Finished]. *)
-let resume t v =
-  match t.fiber with
-  | Finished -> ()
-  | Suspended k -> (
-      t.fiber <- Finished;
-      let go () = Effect.Deep.continue k v in
-      match t.budget with None -> go () | Some b -> Guard.with_budget b go)
-
-let discard_fiber t =
-  match t.fiber with
-  | Finished -> ()
-  | Suspended k -> (
-      t.fiber <- Finished;
-      (* unwind the matcher's stack; Exit comes straight back out *)
-      try Effect.Deep.discontinue k Exit with _ -> ())
-
-let kill t =
-  t.live <- false;
-  discard_fiber t
+  {
+    sid = id;
+    sordinal = ordinal;
+    sgeneration = generation;
+    alpha;
+    front;
+    budget;
+    capture = Option.map (fun _ -> Buffer.create 1024) capture;
+    capture_max = Option.value capture ~default:0;
+    capture_overflow = false;
+    cursor = Extraction.cursor matcher;
+    live = true;
+    failed = false;
+    tokens = 0;
+    splits = 0;
+    f_stream = None;
+    pending = [];
+  }
 
 let drain_pending t =
   let evs = List.rev t.pending in
@@ -152,7 +84,6 @@ let drain_pending t =
 let die t ev =
   t.live <- false;
   t.failed <- true;
-  discard_fiber t;
   t.pending <- ev :: t.pending
 
 (* Capture happens outside the liveness check (the supervisor records
@@ -173,32 +104,61 @@ let captured_page t =
       Some (Buffer.contents buf)
   | Some _ | None -> None
 
-let feed t names =
+(* One token: count it, charge it, step the cursor.  The charge comes
+   before the step, so a token that exhausts the budget pins nothing —
+   one fuel unit per token, the serve analogue of the
+   one-unit-per-DFA-state discipline of lib/automata. *)
+let push t a =
+  t.tokens <- t.tokens + 1;
+  Guard.charge ~stage:"stream" 1;
+  let pos = Extraction.cursor_pos t.cursor in
+  if Extraction.cursor_step t.cursor a then begin
+    t.splits <- t.splits + 1;
+    t.pending <- Split pos :: t.pending
+  end
+
+(* Run one frame's work under the session's budget: one scope per
+   frame, while the budget's own counters carry fuel and the deadline
+   check period across frames, so exhaustion fires at the same token
+   as with a scope per token. *)
+let budgeted t f x =
+  match t.budget with
+  | None -> f t x
+  | Some b -> Guard.with_budget b (fun () -> f t x)
+
+(* Every failure below becomes a terminal event; [feed], [feed_page]
+   and [finish] never raise. *)
+let guarded t f x =
   if not t.live then []
   else begin
-    (try
-       Guard_faults.point_indexed Guard_faults.Session_item t.sordinal;
-       let rec go = function
-         | [] -> ()
-         | name :: rest -> (
-             match Alphabet.find t.alpha name with
-             | None -> die t (Bad_symbol name)
-             | Some a ->
-                 t.tokens <- t.tokens + 1;
-                 resume t (Some a);
-                 go rest)
-       in
-       go names
-     with
+    (try budgeted t f x with
     | Guard.Exhausted r -> die t (Budget_exhausted r)
     | e -> die t (Faulted (Printexc.to_string e)));
     drain_pending t
   end
 
+let rec push_names t = function
+  | [] -> ()
+  | name :: rest -> (
+      match Alphabet.find_exn t.alpha name with
+      | exception Invalid_argument _ -> die t (Bad_symbol name)
+      | a ->
+          push t a;
+          push_names t rest)
+
+(* the injected-fault probe fires on input frames, never on [finish] *)
+let probe t = Guard_faults.point_indexed Guard_faults.Session_item t.sordinal
+
+let feed_names t names =
+  probe t;
+  push_names t names
+
+let feed t names = guarded t feed_names names
+
 (* The session's incremental front-end, created on first use.  Tokens
-   emitted by the stream go through the exact [feed] path: count, then
-   resume — so a [page] session is indistinguishable from a [tokens]
-   session to the matcher fiber. *)
+   emitted by the stream go through the exact [feed] path ([push]), so a
+   [page] session is indistinguishable from a [tokens] session to the
+   matcher. *)
 let stream_of t =
   match t.f_stream with
   | Some st -> st
@@ -210,45 +170,26 @@ let stream_of t =
       t.f_stream <- Some st;
       st
 
-let feed_page t html =
-  if not t.live then []
-  else begin
-    (try
-       Guard_faults.point_indexed Guard_faults.Session_item t.sordinal;
-       match
-         Front.stream_feed (stream_of t) html ~emit:(fun a ->
-             t.tokens <- t.tokens + 1;
-             resume t (Some a))
-       with
-       | Ok () -> ()
-       | Error name -> die t (Bad_symbol name)
-     with
-    | Guard.Exhausted r -> die t (Budget_exhausted r)
-    | e -> die t (Faulted (Printexc.to_string e)));
-    drain_pending t
-  end
+let feed_chunk t html =
+  probe t;
+  match Front.stream_feed (stream_of t) html ~emit:(push t) with
+  | Ok () -> ()
+  | Error name -> die t (Bad_symbol name)
+
+let feed_page t html = guarded t feed_chunk html
+
+(* Flush the page front-end: carried bytes and still open elements emit
+   their final symbols.  End of stream itself needs no step — with a
+   Σ*-right expression every split was pinned when its mark was read. *)
+let flush t () =
+  match t.f_stream with
+  | None -> ()
+  | Some st -> (
+      match Front.stream_finish st ~emit:(push t) with
+      | Ok () -> ()
+      | Error name -> die t (Bad_symbol name))
 
 let finish t =
-  if not t.live then []
-  else begin
-    (try
-       (match t.f_stream with
-       | None -> ()
-       | Some st -> (
-           (* flush the page front-end first: carried bytes and still
-              open elements emit their final symbols before the matcher
-              sees end-of-stream *)
-           match
-             Front.stream_finish st ~emit:(fun a ->
-                 t.tokens <- t.tokens + 1;
-                 resume t (Some a))
-           with
-           | Ok () -> ()
-           | Error name -> die t (Bad_symbol name)));
-       if t.live then resume t None
-     with
-    | Guard.Exhausted r -> die t (Budget_exhausted r)
-    | e -> die t (Faulted (Printexc.to_string e)));
-    t.live <- false;
-    drain_pending t
-  end
+  let evs = guarded t flush () in
+  t.live <- false;
+  evs

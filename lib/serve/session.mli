@@ -1,34 +1,33 @@
-(** One streaming extraction session: a suspended run of
-    {!Extraction.matcher_stream_splits} that is resumed one token at a
-    time.
+(** One streaming extraction session: a push cursor
+    ({!Extraction.cursor}) advanced one token at a time.
 
-    The streaming matcher consumes an [int Seq.t]; a daemon has no
-    such sequence — tokens arrive in chunks, interleaved with other
-    sessions'.  Rather than re-implement the matcher's stepping logic,
-    a session runs the {e real} [matcher_stream_splits] inside an
-    OCaml effect fiber whose input sequence {e performs} an [Await]
-    effect per element: the fiber suspends whenever the matcher needs
-    a token it does not have, and {!feed} resumes it with the next
-    symbol.  Splits therefore pop out of the authentic one-pass
-    matcher the moment the unambiguity invariant pins them, and the
-    laziness contract of the offline API is exercised verbatim by the
-    daemon (the serve oracle layer cross-checks streamed ≡ offline).
+    The session's whole matcher state is a left-DFA state and a
+    position.  For the Σ*-right expressions the §7 pipeline produces,
+    the step that reads the mark in a final left state pins a split on
+    the spot, so tokens arriving in chunks, interleaved with other
+    sessions', need no suspended computation: {!feed} resolves each
+    name and steps the cursor, and splits come out the moment the
+    unambiguity invariant pins them.  The cursor is the same stepping
+    code as {!Extraction.matcher_stream_splits} (the serve oracle layer
+    cross-checks streamed ≡ offline).
 
-    {b Budgets.}  Each resumption runs under the session's own
-    {!Guard.Budget.t} (ambient, per-domain — installed around the
-    resume, so concurrent sessions on pool workers meter
-    independently).  The input sequence charges one fuel unit per
-    token; the budget's wall-clock deadline is measured from session
-    creation.  Exhaustion surfaces as a {!Budget_exhausted} event and
-    kills only this session.
+    {b Budgets.}  Each call that feeds input — {!feed}, {!feed_page},
+    {!finish} — runs inside one {!Guard.with_budget} scope of the
+    session's own {!Guard.Budget.t} (ambient, per-domain, so concurrent
+    sessions on pool workers meter independently), and charges one
+    fuel unit per token.  The budget's counters persist across calls,
+    so fuel and deadline exhaustion fire at the same token, with the
+    same [spent] and [limit], as under a scope per token; the
+    wall-clock deadline is measured from session creation.  Exhaustion
+    surfaces as a {!Budget_exhausted} event and kills only this
+    session.
 
     {b Crash-only.}  Every failure — injected {!Guard_faults} probes,
     out-of-range symbols, budget exhaustion, any escaping exception —
-    is converted into a terminal event and the fiber is discarded;
-    {!feed} and {!finish} never raise.  A dead session answers [[]]
-    forever.  Continuations are one-shot and the supervisor serializes
-    all resumptions of one session, so a fiber captured on one domain
-    may be resumed on another (the pool does exactly this). *)
+    is converted into a terminal event; {!feed} and {!finish} never
+    raise.  A dead session answers [[]] forever.  A session is plain
+    mutable data: the supervisor serializes all calls on one session,
+    which may then run on any domain (the pool does exactly this). *)
 
 type t
 
@@ -50,15 +49,15 @@ val create :
   ?capture:int ->
   unit ->
   t
-(** Start the fiber (runs until the matcher first awaits input).
-    [ordinal] is the session's 0-based open ordinal — the index the
-    {!Guard_faults.Session_item} probe fires on.  [front] is the fused
+(** A live session at position 0.  [ordinal] is the session's 0-based
+    open ordinal — the index the {!Guard_faults.Session_item} probe
+    fires on.  [front] is the fused
     front-end's token table used by {!feed_page}; the supervisor
     builds one per daemon so sessions share it (omitting it falls back
     to a per-session build on the first page chunk).  Omitting both
     [fuel] and [deadline_ms] runs unbudgeted.  [generation] (default
     0) records the wrapper generation the session was admitted under —
-    a healing swap never migrates a live fiber.  [capture] (bytes)
+    a healing swap never migrates a live session.  [capture] (bytes)
     enables bounded raw-page capture for the healing quarantine;
     omitted, the session allocates no capture state.
     @raise Extraction.Not_online if the matcher's right side is not
@@ -72,8 +71,7 @@ val generation : t -> int
 (** The wrapper generation this session runs ([create]'s argument). *)
 
 val alive : t -> bool
-(** [false] once a terminal event was emitted or {!finish}/{!kill}
-    ran. *)
+(** [false] once a terminal event was emitted or {!finish} ran. *)
 
 val failed : t -> bool
 (** [true] once a {e terminal} event (bad symbol, exhausted budget,
@@ -84,7 +82,7 @@ val tokens_fed : t -> int
 val splits_emitted : t -> int
 
 val feed : t -> string list -> event list
-(** Resolve each symbol name and resume the fiber with it, collecting
+(** Resolve each symbol name and step the cursor with it, collecting
     events in order.  Stops at the first terminal event (remaining
     symbols are dropped — the stream is corrupt or the session is
     over-budget; replaying the rest would desynchronize positions).
@@ -93,7 +91,7 @@ val feed : t -> string list -> event list
 val feed_page : t -> string -> event list
 (** Feed a chunk of raw HTML bytes through the session's incremental
     fused front-end ({!Front.stream_feed}); each symbol the page
-    resolves to resumes the fiber exactly as {!feed} would, so page
+    resolves to steps the cursor exactly as {!feed} would, so page
     sessions and token sessions are indistinguishable to the matcher.
     Chunks may split the page at any byte boundary.  A tag outside the
     alphabet is a terminal {!Bad_symbol} (the same error a [tokens]
@@ -105,12 +103,8 @@ val feed_page : t -> string -> event list
 val finish : t -> event list
 (** Signal end-of-stream: flush the page front-end if the session
     streamed raw HTML (carried bytes and implicitly closed elements
-    emit their final symbols), then signal the matcher and retire the
-    session.  Never raises; idempotent. *)
-
-val kill : t -> unit
-(** Discard the fiber without end-of-stream (supervisor shutdown of a
-    poisoned session).  Never raises; idempotent. *)
+    emit their final symbols), then retire the session.  Never raises;
+    idempotent. *)
 
 (** {1 Page capture (healing)} *)
 

@@ -265,7 +265,7 @@ let handle_batch t lines =
 
      Slots are grouped per session object in arrival order; each
      group runs sequentially on its participant (a session is a
-     single fiber — order within it is semantics), while distinct
+     single cursor — order within it is semantics), while distinct
      sessions are independent by construction.  Results land in
      per-slot cells, so emission order never depends on the
      schedule. *)
@@ -329,9 +329,26 @@ let handle_batch t lines =
             end)
       slots_for
   in
+  (* Auto chunking: the cost planner groups cheap sessions into work
+     units and runs a batch below break-even sequentially on this
+     domain, weighting each session by the input its slots carry (html
+     bytes plus tokens) *)
+  let costs =
+    Array.map
+      (fun (key, _) ->
+        List.fold_left
+          (fun acc (_, work) ->
+            match work with
+            | W_feed syms -> acc + List.length syms
+            | W_page html -> acc + String.length html
+            | W_close -> acc)
+          0
+          !(Hashtbl.find groups key))
+      group_arr
+  in
   let n_groups = Array.length group_arr in
   if n_groups > 0 then
-    Pool.run ~chunk:(Pool.Items 1) ~participants:t.cfg.jobs n_groups run_group;
+    Pool.run ~costs ~participants:t.cfg.jobs n_groups run_group;
   (* dead sessions leave the table so their ids free up and drain
      skips them *)
   let dead =

@@ -33,8 +33,10 @@
     (2) parallel advance — each session's token/close slots run {e in
     order} on one {!Pool} participant (sessions are mutually
     independent, so any interleaving of distinct sessions yields the
-    same events); (3) sequential emission — outgoing frames in arrival
-    order of the frames that caused them.  Output is therefore
+    same events), with [Auto] chunking weighted by each session's html
+    bytes plus tokens, so a batch below the pool's break-even runs
+    sequentially instead of waking workers; (3) sequential emission —
+    outgoing frames in arrival order of the frames that caused them.  Output is therefore
     independent of [jobs], which the oracle layer pins at jobs 1/2/4.
 
     {b Metrics.}  Process-global counters (sessions opened / closed /
@@ -60,7 +62,7 @@ type config = {
           captured whole for the quarantine.  When the manager heals,
           the supervisor adopts the new generation's matcher, alphabet,
           and front-end table for sessions opened from the next frame
-          on (live fibers are never migrated) and appends one
+          on (live sessions are never migrated) and appends one
           [{"ok":"healed",…}] frame after the batch's output.  [None]
           leaves every byte of output identical to a daemon built
           without the heal subsystem. *)

@@ -567,9 +567,9 @@ let test_stream_is_lazy () =
   check_bool "did not consume unboundedly" true (!forced < 100)
 
 let test_stream_pulls_each_token_once () =
-  (* the serve sessions hand the matcher a one-shot effect-backed
-     stream, so re-pulling any element would deadlock a session: count
-     every pull and insist on exactly one per token *)
+  (* a token source may be one-shot (a socket, a pipe), so re-pulling
+     any element would desynchronize positions: count every pull and
+     insist on exactly one per token *)
   let m = Extraction.compile (ex "([^p])* <p> .*") in
   let word = w ab_pq "q q p q p" in
   let pulls = Array.make (Array.length word) 0 in

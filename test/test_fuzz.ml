@@ -164,6 +164,58 @@ let test_frame_decode_truncations () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oversized frame accepted"
 
+(* The fast decoder is invisible: [decode] answers exactly what the
+   generic decoder answers, on byte soup and on every truncation of each
+   canonical shape (escapes included). *)
+let prop_frame_decode_fast_invisible =
+  qtest ~count:500 "Frame.decode ≡ generic decoder on byte soup"
+    Oracle_soup.arb_bytes
+    (fun s -> Frame.decode s = Frame.decode_generic s)
+
+let test_frame_decode_fast_truncations () =
+  let shapes =
+    [
+      ( {|{"op":"open","id":7,"fuel":500,"deadline_ms":2000}|},
+        Frame.Open { id = 7; fuel = Some 500; deadline_ms = Some 2000 } );
+      ( {|{"op":"tokens","id":12,"syms":["p","q\"x","\/"]}|},
+        Frame.Tokens { id = 12; syms = [ "p"; {|q"x|}; "/" ] } );
+      ( {|{"op":"page","id":0,"html":"<p class=\"a\">\n\t</p>\\"}|},
+        Frame.Page { id = 0; html = "<p class=\"a\">\n\t</p>\\" } );
+      ( {|{"op":"close","id":123456789012345678}|},
+        Frame.Close { id = 123456789012345678 } );
+    ]
+  in
+  List.iter
+    (fun (line, frame) ->
+      Alcotest.(check bool) ("fast path takes " ^ line) true
+        (Frame.decode_fast line = Some frame);
+      for k = 0 to String.length line do
+        let prefix = String.sub line 0 k in
+        if Frame.decode prefix <> Frame.decode_generic prefix then
+          Alcotest.failf "decoders disagree on %S" prefix
+      done)
+    shapes
+
+(* [\u] escapes: exactly four hex digits; surrogate pairs are one
+   4-byte code point, lone surrogates U+FFFD. *)
+let test_json_u_escapes () =
+  let str s =
+    match Obs.Json.of_string s with
+    | Ok (Obs.Json.Str v) -> Some v
+    | Ok _ | Error _ -> None
+  in
+  let check name want s = Alcotest.(check (option string)) name want (str s) in
+  check "BMP" (Some "A\xc3\xa9\xe2\x82\xac") {|"\u0041\u00e9\u20AC"|};
+  check "underscore is not a hex digit" None {|"\u1_23"|};
+  check "sign is not a hex digit" None {|"\u+123"|};
+  check "three digits" None {|"\u123"|};
+  check "surrogate pair" (Some "\xf0\x9f\x98\x80") {|"\ud83d\ude00"|};
+  check "lone high" (Some "\xef\xbf\xbdx") {|"\ud83dx"|};
+  check "lone low" (Some "\xef\xbf\xbd") {|"\ude00"|};
+  check "high then BMP" (Some "\xef\xbf\xbdA") {|"\ud83d\u0041"|};
+  check "high at end" (Some "\xef\xbf\xbd") {|"\ud83d"|};
+  check "high then bad escape" None {|"\ud83d\uzzzz"|}
+
 (* Deep nesting must not blow the stack at realistic depths. *)
 let test_deep_nesting () =
   let depth = 20_000 in
@@ -242,6 +294,10 @@ let () =
           prop_frame_decode_total;
           Alcotest.test_case "Frame.decode truncation prefixes" `Quick
             test_frame_decode_truncations;
+          prop_frame_decode_fast_invisible;
+          Alcotest.test_case "fast decode ≡ generic on shape truncations"
+            `Quick test_frame_decode_fast_truncations;
+          Alcotest.test_case "JSON \\u escapes" `Quick test_json_u_escapes;
         ] );
       ( "pathological-inputs",
         [
