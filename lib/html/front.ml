@@ -5,6 +5,18 @@
    sequence (and any Unknown_symbol error) is identical to the tree
    path's — the [front] oracle layer holds the two against each other.
 
+   Allocation contract: once an engine exists, the tag path allocates
+   nothing and touches no shared memory.  Scan state (attribute
+   capture, the open-element stack, the carry, the raw end-tag name)
+   lives in mutable engine fields and engine-owned growable arrays and
+   bytes; the helpers are top-level functions, so no closure, option or
+   tuple is built per tag; interner hits and misses are counted in the
+   engine and published with one fetch_and_add per feed.  What still
+   allocates: growing those buffers (amortized, bounded by the deepest
+   nesting and longest carried construct), the error path (an
+   Unknown_sym name), a refined attribute value containing '&' (decoded
+   through Html_lexer), and the results of word, extract and splits.
+
    Known cost trade-off: a construct that straddles a chunk boundary
    in streaming mode is carried and re-scanned from its '<', so a
    single tag much larger than the chunk size re-scans quadratically.
@@ -26,13 +38,24 @@ let last_classes = Atomic.make 0
 
 (* --- character classes (must mirror Html_lexer exactly) --- *)
 
-let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+(* One table load per byte test: bit 0 space, bit 1 name character. *)
+let char_class =
+  String.init 256 (fun k ->
+      let c = Char.chr k in
+      let space = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
+      let name =
+        (c >= 'a' && c <= 'z')
+        || (c >= 'A' && c <= 'Z')
+        || (c >= '0' && c <= '9')
+        || c = '-' || c = '_' || c = ':'
+      in
+      Char.chr ((if space then 1 else 0) lor if name then 2 else 0))
 
-let is_name_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '-' || c = '_' || c = ':'
+let[@inline] is_space c =
+  Char.code (String.unsafe_get char_class (Char.code c)) land 1 <> 0
+
+let[@inline] is_name_char c =
+  Char.code (String.unsafe_get char_class (Char.code c)) land 2 <> 0
 
 (* --- implicit-close groups (must mirror Html_tree.closes_implicitly) ---
 
@@ -115,48 +138,31 @@ let abstraction t = t.t_abs
 let fnv_prime = 0x01000193
 let fnv_off = 0x811c9dc5
 
-let fnv_str key =
-  let h = ref fnv_off in
-  String.iter (fun c -> h := (!h lxor Char.code c) * fnv_prime) key;
-  !h land max_int
+let[@inline] fnv_step h c =
+  (h lxor Char.code (Char.uppercase_ascii c)) * fnv_prime
 
 let fnv_slice s pos len =
   let h = ref fnv_off in
   for k = pos to pos + len - 1 do
-    h :=
-      (!h lxor Char.code (Char.uppercase_ascii (String.unsafe_get s k)))
-      * fnv_prime
+    h := fnv_step !h (String.unsafe_get s k)
   done;
   !h land max_int
 
-let slice_is_key s pos len key =
+let[@inline] slice_is_key s pos len key =
   String.length key = len
   &&
-  let ok = ref true in
-  for k = 0 to len - 1 do
-    if Char.uppercase_ascii (String.unsafe_get s (pos + k)) <> String.unsafe_get key k
-    then ok := false
+  let k = ref 0 in
+  while
+    !k < len
+    && Char.uppercase_ascii (String.unsafe_get s (pos + !k))
+       = String.unsafe_get key !k
+  do
+    incr k
   done;
-  !ok
+  !k = len
 
-(* lookup by slice; returns [dummy] on miss.  Counts interner traffic. *)
-let lookup tbl s pos len =
-  let mask = tbl.t_mask in
-  let idx = ref (fnv_slice s pos len land mask) in
-  let res = ref dummy in
-  (try
-     while true do
-       let e = Array.unsafe_get tbl.t_slots (!idx land mask) in
-       if e == dummy then raise_notrace Exit
-       else if slice_is_key s pos len e.e_key then begin
-         res := e;
-         raise_notrace Exit
-       end
-       else incr idx
-     done
-   with Exit -> ());
-  if !res == dummy then Obs.Counter2.miss interner else Obs.Counter2.hit interner;
-  !res
+let[@inline] entry tbl slot =
+  if slot < 0 then dummy else Array.unsafe_get tbl.t_slots slot
 
 (* A symbol is reachable as a plain start tag iff it could come out of
    Abstraction.start_symbol for some lexed name: nonempty, name
@@ -213,7 +219,7 @@ let build ?(abs = Abstraction.Tags) alpha =
           let plen = String.length prefix in
           for sym = 0 to size - 1 do
             let nm = Alphabet.name alpha sym in
-            if String.length nm > plen && String.sub nm 0 plen = prefix then
+            if String.length nm >= plen && String.sub nm 0 plen = prefix then
               (proto k).p_vals <-
                 (String.sub nm plen (String.length nm - plen), sym)
                 :: (proto k).p_vals
@@ -246,7 +252,7 @@ let build ?(abs = Abstraction.Tags) alpha =
           e_vsyms = Array.of_list (List.map snd vals);
         }
       in
-      let idx = ref (fnv_str k land mask) in
+      let idx = ref (fnv_slice k 0 (String.length k) land mask) in
       while slots.(!idx land mask) != dummy do
         incr idx
       done;
@@ -259,14 +265,17 @@ let build ?(abs = Abstraction.Tags) alpha =
 (* --- the engine --- *)
 
 exception Unknown_sym of string
-exception Need_more of int
 
-type frame = {
-  f_ent : entry;
-  f_index : int;  (* child index in the parent *)
-  f_node : int;  (* arena node id, -1 when the arena is off *)
-  mutable f_next : int;  (* children added so far *)
-}
+(* The scan cannot decide a construct before the input ends; the carry
+   starts at [need_at].  Constant, so raising it allocates nothing. *)
+exception Need_more
+
+(* The open-element stack is one int array, four ints per frame: frame
+   [k] (0 outermost) holds field [f] at [(k lsl 2) lor f]. *)
+let fr_slot = 0 (* table slot of the element's entry *)
+let fr_index = 1 (* child index in the parent *)
+let fr_node = 2 (* arena node id, -1 when the arena is off *)
+let fr_next = 3 (* children added so far *)
 
 type mode = M_text | M_comment | M_doctype | M_raw | M_rawend | M_skipgt
 
@@ -274,7 +283,8 @@ type engine = {
   tbl : table;
   arena : bool;
   mutable on_sym : int -> unit;
-  mutable stack : frame list;  (* open elements, innermost first *)
+  mutable stack : int array;  (* open elements, innermost frame [sp - 1] *)
+  mutable sp : int;
   mutable root_next : int;
   mutable mode : mode;
   mutable text_nonspace : bool;  (* current text run survives the filter *)
@@ -283,14 +293,25 @@ type engine = {
   mutable raw_base : string;  (* "SCRIPT" / "STYLE" *)
   mutable raw_m : int;  (* matched prefix of raw_close *)
   mutable raw_nonspace : bool;
-  raw_name : Buffer.t;  (* M_rawend: end-tag name extension *)
+  mutable raw_name : Bytes.t;  (* M_rawend: folded end-tag name so far *)
+  mutable raw_len : int;
+  (* start-tag scan: the refining attribute's capture (0 none; 1 value
+     at cap_vpos/cap_vlen; 2 valueless) *)
+  mutable cap_found : int;
+  mutable cap_vpos : int;
+  mutable cap_vlen : int;
   mutable cur_index : int;  (* valid during on_sym *)
   mutable cur_node : int;  (* valid during on_sym (arena) *)
   mutable n_emitted : int;
   mutable nd_parent : int array;
   mutable nd_index : int array;
   mutable nd_len : int;
-  mutable carry : string;
+  mutable carry : Bytes.t;  (* unscanned tail of the previous feeds *)
+  mutable carry_len : int;
+  mutable need_at : int;  (* resume point when Need_more is raised *)
+  mutable name_hash : int;  (* fnv_slice of the tag name just scanned *)
+  mutable hits : int;  (* interner traffic of the current feed *)
+  mutable misses : int;
   mutable dead : bool;
 }
 
@@ -301,7 +322,8 @@ let make_engine tbl ~arena =
     tbl;
     arena;
     on_sym = ignore;
-    stack = [];
+    stack = Array.make 32 0;
+    sp = 0;
     root_next = 0;
     mode = M_text;
     text_nonspace = false;
@@ -310,56 +332,116 @@ let make_engine tbl ~arena =
     raw_base = "";
     raw_m = 0;
     raw_nonspace = false;
-    raw_name = Buffer.create 8;
+    raw_name = Bytes.empty;
+    raw_len = 0;
+    cap_found = 0;
+    cap_vpos = 0;
+    cap_vlen = 0;
     cur_index = -1;
     cur_node = -1;
     n_emitted = 0;
     nd_parent = (if arena then Array.make 64 0 else [||]);
     nd_index = (if arena then Array.make 64 0 else [||]);
     nd_len = 0;
-    carry = "";
+    carry = Bytes.empty;
+    carry_len = 0;
+    need_at = 0;
+    name_hash = 0;
+    hits = 0;
+    misses = 0;
     dead = false;
   }
+
+let need eng r =
+  eng.need_at <- r;
+  raise_notrace Need_more
 
 let grow a len =
   let b = Array.make (2 * max 1 (Array.length a)) 0 in
   Array.blit a 0 b 0 len;
   b
 
-let add_child eng =
-  match eng.stack with
-  | fr :: _ ->
-      let i = fr.f_next in
-      fr.f_next <- i + 1;
-      i
-  | [] ->
-      let i = eng.root_next in
-      eng.root_next <- i + 1;
-      i
-
-let parent_node eng = match eng.stack with fr :: _ -> fr.f_node | [] -> -1
-
-let alloc_node eng parent index =
-  if not eng.arena then -1
+(* [b] with room for [need] bytes, its first [len] kept *)
+let reserve b len need =
+  if need <= Bytes.length b then b
   else begin
-    if eng.nd_len = Array.length eng.nd_parent then begin
-      eng.nd_parent <- grow eng.nd_parent eng.nd_len;
-      eng.nd_index <- grow eng.nd_index eng.nd_len
-    end;
-    let nd = eng.nd_len in
-    eng.nd_parent.(nd) <- parent;
-    eng.nd_index.(nd) <- index;
-    eng.nd_len <- nd + 1;
-    nd
+    let b' = Bytes.create (max need (2 * Bytes.length b)) in
+    Bytes.blit b 0 b' 0 len;
+    b'
   end
+
+(* the slot of the entry whose key the slice folds to, -1 on a miss,
+   counted as an interner hit or miss; [h] is the slice's [fnv_slice] *)
+let[@inline] lookup eng h s pos len =
+  let tbl = eng.tbl in
+  let mask = tbl.t_mask in
+  let idx = ref (h land mask) and slot = ref (-2) in
+  while !slot = -2 do
+    let e = Array.unsafe_get tbl.t_slots !idx in
+    if e == dummy then slot := -1
+    else if slice_is_key s pos len e.e_key then slot := !idx
+    else idx := (!idx + 1) land mask
+  done;
+  if !slot < 0 then eng.misses <- eng.misses + 1
+  else eng.hits <- eng.hits + 1;
+  !slot
+
+let publish_interner eng =
+  if eng.hits lor eng.misses <> 0 then begin
+    Obs.Counter2.add interner ~hits:eng.hits ~misses:eng.misses;
+    eng.hits <- 0;
+    eng.misses <- 0
+  end
+
+let[@inline] frame eng k f = Array.unsafe_get eng.stack ((k lsl 2) lor f)
+let[@inline] set_frame eng k f v =
+  Array.unsafe_set eng.stack ((k lsl 2) lor f) v
+
+let[@inline] push eng slot index node =
+  let k = eng.sp in
+  if k lsl 2 = Array.length eng.stack then
+    eng.stack <- grow eng.stack (k lsl 2);
+  set_frame eng k fr_slot slot;
+  set_frame eng k fr_index index;
+  set_frame eng k fr_node node;
+  set_frame eng k fr_next 0;
+  eng.sp <- k + 1
+
+let[@inline] add_child eng =
+  let k = eng.sp - 1 in
+  if k >= 0 then begin
+    let i = frame eng k fr_next in
+    set_frame eng k fr_next (i + 1);
+    i
+  end
+  else begin
+    let i = eng.root_next in
+    eng.root_next <- i + 1;
+    i
+  end
+
+let[@inline] parent_node eng =
+  if eng.sp > 0 then frame eng (eng.sp - 1) fr_node else -1
+
+(* a parent-pointer node for the element just opened (arena only) *)
+let alloc_node eng index =
+  if eng.nd_len = Array.length eng.nd_parent then begin
+    eng.nd_parent <- grow eng.nd_parent eng.nd_len;
+    eng.nd_index <- grow eng.nd_index eng.nd_len
+  end;
+  let nd = eng.nd_len in
+  eng.nd_parent.(nd) <- parent_node eng;
+  eng.nd_index.(nd) <- index;
+  eng.nd_len <- nd + 1;
+  nd
 
 (* path of the node whose symbol is being emitted (on_sym context) *)
 let cur_path eng =
-  let rec go acc = function
-    | [] -> acc
-    | fr :: rest -> go (fr.f_index :: acc) rest
-  in
-  go [ eng.cur_index ] eng.stack
+  let acc = ref [ eng.cur_index ] in
+  for k = eng.sp - 1 downto 0 do
+    acc := frame eng k fr_index :: !acc
+  done;
+  !acc
 
 (* path of an arena node, outermost index first *)
 let node_path eng nd =
@@ -368,22 +450,22 @@ let node_path eng nd =
   in
   up [] nd
 
-let emit eng sym =
+let[@inline] emit eng sym =
   eng.n_emitted <- eng.n_emitted + 1;
   eng.on_sym sym
 
 let close_top eng =
-  match eng.stack with
-  | [] -> ()
-  | fr :: rest ->
-      eng.stack <- rest;
-      eng.cur_index <- fr.f_index;
-      eng.cur_node <- fr.f_node;
-      let e = fr.f_ent in
-      if e.e_close >= 0 then emit eng e.e_close
-      else raise (Unknown_sym ("/" ^ e.e_key))
+  let k = eng.sp - 1 in
+  if k >= 0 then begin
+    eng.sp <- k;
+    eng.cur_index <- frame eng k fr_index;
+    eng.cur_node <- frame eng k fr_node;
+    let e = entry eng.tbl (frame eng k fr_slot) in
+    if e.e_close >= 0 then emit eng e.e_close
+    else raise (Unknown_sym ("/" ^ e.e_key))
+  end
 
-let flush_text eng =
+let[@inline] flush_text eng =
   if eng.text_nonspace then ignore (add_child eng);
   eng.text_nonspace <- false
 
@@ -415,13 +497,15 @@ let find_val e s vpos vlen =
       if !r < 0 then begin
         let v = e.e_vals.(k) in
         if String.length v = vlen then begin
-          let ok = ref true in
-          for j = 0 to vlen - 1 do
-            if Char.lowercase_ascii (String.unsafe_get s (vpos + j))
-               <> String.unsafe_get v j
-            then ok := false
+          let j = ref 0 in
+          while
+            !j < vlen
+            && Char.lowercase_ascii (String.unsafe_get s (vpos + !j))
+               = String.unsafe_get v !j
+          do
+            incr j
           done;
-          if !ok then r := k
+          if !j = vlen then r := k
         end
       end
     done;
@@ -436,33 +520,33 @@ let refined_error e s vpos vlen =
    open symbol, then leaf/push and the raw-text mode switch.  All
    emissions happen in tree-walk order so the first Unknown_sym matches
    Tag_seq.of_doc_indexed on the equivalent tree. *)
-let process_start eng s e npos nlen ~self_closing ~cap_found ~cap_vpos ~cap_vlen =
+let process_start eng s slot npos nlen ~self_closing =
+  let e = entry eng.tbl slot in
   let flags =
     if e != dummy then e.e_inflags else inflags_of (upper_slice s npos nlen)
   in
-  let rec imply () =
-    match eng.stack with
-    | fr :: _
-      when fr.f_ent.e_grp >= 0 && (flags lsr fr.f_ent.e_grp) land 1 = 1 ->
-        close_top eng;
-        imply ()
-    | _ -> ()
-  in
-  imply ();
+  while
+    eng.sp > 0
+    &&
+    let g = (entry eng.tbl (frame eng (eng.sp - 1) fr_slot)).e_grp in
+    g >= 0 && (flags lsr g) land 1 = 1
+  do
+    close_top eng
+  done;
   if e == dummy then
     (* unrefinable unknown name (refinable ones are seeded entries) *)
     raise (Unknown_sym (upper_slice s npos nlen));
   let sym =
-    if e.e_attr <> "" && cap_found = 1 then begin
-      match find_val e s cap_vpos cap_vlen with
-      | k when k >= 0 -> e.e_vsyms.(k)
-      | _ -> raise (Unknown_sym (refined_error e s cap_vpos cap_vlen))
+    if String.length e.e_attr > 0 && eng.cap_found = 1 then begin
+      let k = find_val e s eng.cap_vpos eng.cap_vlen in
+      if k >= 0 then e.e_vsyms.(k)
+      else raise (Unknown_sym (refined_error e s eng.cap_vpos eng.cap_vlen))
     end
     else if e.e_open >= 0 then e.e_open
     else raise (Unknown_sym e.e_key)
   in
   let index = add_child eng in
-  let node = alloc_node eng (parent_node eng) index in
+  let node = if eng.arena then alloc_node eng index else -1 in
   eng.cur_index <- index;
   eng.cur_node <- node;
   emit eng sym;
@@ -472,8 +556,7 @@ let process_start eng s e npos nlen ~self_closing ~cap_found ~cap_vpos ~cap_vlen
       if e.e_close >= 0 then emit eng e.e_close
       else raise (Unknown_sym ("/" ^ e.e_key))
   end
-  else
-    eng.stack <- { f_ent = e; f_index = index; f_node = node; f_next = 0 } :: eng.stack;
+  else push eng slot index node;
   if (not self_closing) && e.e_raw then begin
     eng.mode <- M_raw;
     eng.raw_close <- (if e.e_key = "SCRIPT" then "</script" else "</style");
@@ -484,27 +567,24 @@ let process_start eng s e npos nlen ~self_closing ~cap_found ~cap_vpos ~cap_vlen
 
 (* end-tag resolution: void and unknown end tags are dropped; a match
    anywhere in the stack pops (emitting closes) down to it inclusive. *)
-let process_end_entry eng e =
-  if e == dummy || e.e_void then ()
-  else if List.exists (fun fr -> fr.f_ent == e) eng.stack then begin
-    let rec close () =
-      match eng.stack with
-      | fr :: _ ->
-          let hit = fr.f_ent == e in
-          close_top eng;
-          if not hit then close ()
-      | [] -> ()
-    in
-    close ()
+let process_end eng slot =
+  if slot >= 0 && not (entry eng.tbl slot).e_void then begin
+    let k = ref (eng.sp - 1) in
+    while !k >= 0 && frame eng !k fr_slot <> slot do
+      decr k
+    done;
+    let k = !k in
+    if k >= 0 then
+      while eng.sp > k do
+        close_top eng
+      done
   end
 
-let process_end_slice eng s pos len =
-  process_end_entry eng (lookup eng.tbl s pos len)
-
 let finish_rawend eng =
-  let name = eng.raw_base ^ Buffer.contents eng.raw_name in
-  Buffer.clear eng.raw_name;
-  process_end_slice eng name 0 (String.length name);
+  let len = eng.raw_len in
+  let name = Bytes.unsafe_to_string eng.raw_name in
+  eng.raw_len <- 0;
+  process_end eng (lookup eng (fnv_slice name 0 len) name 0 len);
   eng.mode <- M_skipgt
 
 (* '&' while the current run is still all-space: decide whether the
@@ -514,328 +594,351 @@ let finish_rawend eng =
    of 32. *)
 let entity_step eng s n eof amp =
   let limit = amp + 10 in
-  let rec scan j =
-    if j > limit then begin
-      eng.text_nonspace <- true;
-      amp + 1
-    end
-    else if j >= n then
-      if eof then begin
-        eng.text_nonspace <- true;
-        amp + 1
-      end
-      else raise (Need_more amp)
+  let j = ref (amp + 1) and res = ref (-1) in
+  while !res < 0 do
+    let jj = !j in
+    if jj > limit then res := amp + 1
+    else if jj >= n then
+      if eof then res := amp + 1 else need eng amp
     else
-      let c = String.unsafe_get s j in
+      let c = String.unsafe_get s jj in
       if c = ';' then begin
-        let e_len = j - amp - 1 in
-        let space_entity =
-          e_len > 1
-          && s.[amp + 1] = '#'
-          && (match int_of_string_opt (String.sub s (amp + 2) (e_len - 1)) with
-             | Some 32 -> true
-             | _ -> false)
-        in
-        if space_entity then j + 1
-        else begin
-          eng.text_nonspace <- true;
-          amp + 1
-        end
+        let space = Html_lexer.numeric_ref s (amp + 1) (jj - amp - 1) = 32 in
+        res := if space then jj + 1 else amp + 1
       end
       else if c = '<' then begin
         (* a construct here ends the run before the ';' *)
-        if j + 1 >= n then
-          if eof then scan (j + 1) else raise (Need_more amp)
+        if jj + 1 >= n then
+          if eof then j := jj + 1 else need eng amp
         else
-          let c1 = s.[j + 1] in
-          if c1 = '!' || is_name_char c1 then begin
-            eng.text_nonspace <- true;
-            amp + 1
-          end
+          let c1 = String.unsafe_get s (jj + 1) in
+          if c1 = '!' || is_name_char c1 then res := amp + 1
           else if c1 = '/' then begin
-            if j + 2 >= n then
-              if eof then scan (j + 1) else raise (Need_more amp)
-            else if is_name_char s.[j + 2] then begin
-              eng.text_nonspace <- true;
-              amp + 1
-            end
-            else scan (j + 1)
+            if jj + 2 >= n then
+              if eof then j := jj + 1 else need eng amp
+            else if is_name_char (String.unsafe_get s (jj + 2)) then
+              res := amp + 1
+            else j := jj + 1
           end
-          else scan (j + 1)
+          else j := jj + 1
       end
-      else scan (j + 1)
-  in
-  scan (amp + 1)
+      else j := jj + 1
+  done;
+  (* every outcome but a space entity ends the all-space run *)
+  if !res = amp + 1 then eng.text_nonspace <- true;
+  !res
 
-(* full start-tag scan: name, then a faithful replica of the lexer's
-   scan_attrs (quotes, junk skipping, '/' self-close lookahead), with
-   the refining attribute captured as a slice on the fly.  Raises
-   Need_more before any state mutation, so a re-scan from the carried
-   '<' is safe. *)
-let scan_start eng s n eof cstart =
-  let npos = cstart + 1 in
-  let j = ref npos in
+let[@inline] skip_sp s n k =
+  let k = ref k in
+  while !k < n && is_space (String.unsafe_get s !k) do
+    incr k
+  done;
+  !k
+
+let attr_is s apos target =
+  let alen = String.length target in
+  let k = ref 0 in
+  while
+    !k < alen
+    && Char.lowercase_ascii (String.unsafe_get s (apos + !k))
+       = String.unsafe_get target !k
+  do
+    incr k
+  done;
+  !k = alen
+
+(* attribute [apos, alen) seen with value [vpos, vlen), [vlen < 0] when
+   valueless: capture it if it is the first occurrence of [target] *)
+let[@inline] record_cap eng s target apos alen vpos vlen =
+  if eng.cap_found = 0 && String.length target = alen then
+    if attr_is s apos target then
+      if vlen < 0 then eng.cap_found <- 2
+      else begin
+        eng.cap_found <- 1;
+        eng.cap_vpos <- vpos;
+        eng.cap_vlen <- vlen
+      end
+
+(* doctype, or the tail of an end tag: everything through '>' *)
+let skipgt_run eng s n i =
+  let i = ref i in
+  while !i < n && String.unsafe_get s !i <> '>' do
+    incr i
+  done;
+  if !i < n then begin
+    eng.mode <- M_text;
+    !i + 1
+  end
+  else n
+
+(* a tag name from [pos]: its end, with its [fnv_slice] hash left in
+   [name_hash] — hashed as it is read *)
+let scan_name eng s n pos =
+  let j = ref pos and h = ref fnv_off in
   while !j < n && is_name_char (String.unsafe_get s !j) do
+    h := fnv_step !h (String.unsafe_get s !j);
     incr j
   done;
-  if !j = n && not eof then raise (Need_more cstart);
-  let nlen = !j - npos in
-  let e = lookup eng.tbl s npos nlen in
-  let target = if e == dummy then "" else e.e_attr in
-  let cap_found = ref 0 (* 0 none; 1 value captured; 2 valueless/plain *) in
-  let cap_vpos = ref 0 and cap_vlen = ref 0 in
-  let record_cap apos alen v =
-    if target <> "" && !cap_found = 0 && String.length target = alen then begin
-      let ok = ref true in
-      for k = 0 to alen - 1 do
-        if Char.lowercase_ascii (String.unsafe_get s (apos + k))
-           <> String.unsafe_get target k
-        then ok := false
-      done;
-      if !ok then
-        match v with
-        | Some (vp, vl) ->
-            cap_found := 1;
-            cap_vpos := vp;
-            cap_vlen := vl
-        | None -> cap_found := 2
-    end
-  in
+  eng.name_hash <- !h land max_int;
+  !j
+
+(* full start-tag scan: name, then a faithful
+   replica of the lexer's scan_attrs (quotes, junk skipping, '/'
+   self-close lookahead), with the refining attribute captured as a
+   slice on the fly.  Raises Need_more before any emission, so a
+   re-scan from the carried '<' is safe. *)
+let scan_start eng s n eof cstart =
+  let npos = cstart + 1 in
+  let j = scan_name eng s n npos in
+  if j = n && not eof then need eng cstart;
+  let nlen = j - npos in
+  let slot = lookup eng eng.name_hash s npos nlen in
+  let target = (entry eng.tbl slot).e_attr in
+  eng.cap_found <- 0;
   let self_closing = ref false in
-  let fin = ref n in
-  let skip_sp k =
-    let k = ref k in
-    while !k < n && is_space (String.unsafe_get s !k) do
-      incr k
-    done;
-    !k
-  in
-  let i = ref !j in
-  let continue_ = ref true in
-  while !continue_ do
-    let p = skip_sp !i in
+  let fin = ref (-1) in
+  let i = ref j in
+  while !fin < 0 do
+    let p = skip_sp s n !i in
     if p >= n then begin
-      if not eof then raise (Need_more cstart);
-      fin := n;
-      continue_ := false
+      if not eof then need eng cstart;
+      fin := n
     end
-    else if s.[p] = '>' then begin
-      fin := p + 1;
-      continue_ := false
-    end
-    else if s.[p] = '/' then begin
-      let q = skip_sp (p + 1) in
-      if q >= n && not eof then raise (Need_more cstart);
-      if q < n && s.[q] = '>' then begin
-        self_closing := true;
-        fin := q + 1;
-        continue_ := false
-      end
-      else i := p + 1
-    end
-    else begin
-      (* scan_attr *)
-      let apos = p in
-      let k = ref p in
-      while !k < n && is_name_char (String.unsafe_get s !k) do
-        incr k
-      done;
-      if !k = n && not eof then raise (Need_more cstart);
-      let alen = !k - apos in
-      if alen = 0 then i := p + 1
-      else begin
-        let q = skip_sp !k in
-        if q >= n then begin
-          if not eof then raise (Need_more cstart);
-          record_cap apos alen None;
-          i := q
+    else
+      let c = String.unsafe_get s p in
+      if c = '>' then fin := p + 1
+      else if c = '/' then begin
+        let q = skip_sp s n (p + 1) in
+        if q >= n && not eof then need eng cstart;
+        if q < n && String.unsafe_get s q = '>' then begin
+          self_closing := true;
+          fin := q + 1
         end
-        else if s.[q] = '=' then begin
-          let v = skip_sp (q + 1) in
-          if v >= n then begin
-            if not eof then raise (Need_more cstart);
-            record_cap apos alen (Some (v, 0));
-            i := v
+        else i := p + 1
+      end
+      else begin
+        (* scan_attr *)
+        let k = ref p in
+        while !k < n && is_name_char (String.unsafe_get s !k) do
+          incr k
+        done;
+        if !k = n && not eof then need eng cstart;
+        let alen = !k - p in
+        if alen = 0 then i := p + 1
+        else begin
+          let q = skip_sp s n !k in
+          if q >= n then begin
+            if not eof then need eng cstart;
+            record_cap eng s target p alen 0 (-1);
+            i := q
           end
-          else if s.[v] = '"' || s.[v] = '\'' then begin
-            let quote = s.[v] in
-            let m = ref (v + 1) in
-            while !m < n && String.unsafe_get s !m <> quote do
-              incr m
-            done;
-            if !m = n then begin
-              if not eof then raise (Need_more cstart);
-              record_cap apos alen (Some (v + 1, n - v - 1));
-              i := n
+          else if String.unsafe_get s q = '=' then begin
+            let v = skip_sp s n (q + 1) in
+            if v >= n then begin
+              if not eof then need eng cstart;
+              record_cap eng s target p alen v 0;
+              i := v
             end
-            else begin
-              record_cap apos alen (Some (v + 1, !m - v - 1));
-              i := !m + 1
-            end
+            else
+              let quote = String.unsafe_get s v in
+              if quote = '"' || quote = '\'' then begin
+                let m = ref (v + 1) in
+                while !m < n && String.unsafe_get s !m <> quote do
+                  incr m
+                done;
+                if !m = n then begin
+                  if not eof then need eng cstart;
+                  record_cap eng s target p alen (v + 1) (n - v - 1);
+                  i := n
+                end
+                else begin
+                  record_cap eng s target p alen (v + 1) (!m - v - 1);
+                  i := !m + 1
+                end
+              end
+              else begin
+                let m = ref v in
+                while
+                  !m < n
+                  &&
+                  let c = String.unsafe_get s !m in
+                  (not (is_space c)) && c <> '>' && c <> '/'
+                do
+                  incr m
+                done;
+                if !m = n && not eof then need eng cstart;
+                record_cap eng s target p alen v (!m - v);
+                i := !m
+              end
           end
           else begin
-            let m = ref v in
-            while
-              !m < n
-              && (not (is_space (String.unsafe_get s !m)))
-              && s.[!m] <> '>'
-              && s.[!m] <> '/'
-            do
-              incr m
-            done;
-            if !m = n && not eof then raise (Need_more cstart);
-            record_cap apos alen (Some (v, !m - v));
-            i := !m
+            record_cap eng s target p alen 0 (-1);
+            i := q
           end
         end
-        else begin
-          record_cap apos alen None;
-          i := q
-        end
       end
-    end
   done;
   flush_text eng;
-  process_start eng s e npos nlen ~self_closing:!self_closing
-    ~cap_found:!cap_found ~cap_vpos:!cap_vpos ~cap_vlen:!cap_vlen;
+  process_start eng s slot npos nlen ~self_closing:!self_closing;
   !fin
 
 let scan_end eng s n eof cstart =
   let npos = cstart + 2 in
-  let j = ref npos in
-  while !j < n && is_name_char (String.unsafe_get s !j) do
-    incr j
-  done;
-  if !j = n && not eof then raise (Need_more cstart);
+  let j = scan_name eng s n npos in
+  if j = n && not eof then need eng cstart;
   flush_text eng;
-  process_end_slice eng s npos (!j - npos);
+  process_end eng (lookup eng eng.name_hash s npos (j - npos));
+  (* the rest of the end tag, through '>' *)
   eng.mode <- M_skipgt;
-  !j
+  skipgt_run eng s n j
 
-let scan eng s eof =
-  let n = String.length s in
+(* a '<' at [st] in text: a comment, doctype, end or start tag, or —
+   when none of those can begin here — one more text byte *)
+let text_lt eng s n eof st =
+  if st + 1 >= n then begin
+    if not eof then need eng st;
+    (* lone '<' at end of input stays text *)
+    eng.text_nonspace <- true;
+    st + 1
+  end
+  else
+    let c1 = String.unsafe_get s (st + 1) in
+    if c1 = '!' then begin
+      (* comment needs "<!--" with the fourth byte in range *)
+      if (st + 2 >= n || (s.[st + 2] = '-' && st + 3 >= n)) && not eof then
+        need eng st;
+      flush_text eng;
+      if st + 3 < n && s.[st + 2] = '-' && s.[st + 3] = '-' then begin
+        eng.mode <- M_comment;
+        eng.dashes <- 0;
+        st + 4
+      end
+      else begin
+        eng.mode <- M_doctype;
+        st + 2
+      end
+    end
+    else if c1 = '/' then begin
+      if st + 2 >= n then begin
+        if not eof then need eng st;
+        eng.text_nonspace <- true;
+        st + 1
+      end
+      else if is_name_char (String.unsafe_get s (st + 2)) then
+        scan_end eng s n eof st
+      else begin
+        eng.text_nonspace <- true;
+        st + 1
+      end
+    end
+    else if is_name_char c1 then scan_start eng s n eof st
+    else begin
+      eng.text_nonspace <- true;
+      st + 1
+    end
+
+(* text, from [i < n]: run to the next '<' — or to an '&' while the
+   run is still all-space — then handle what stopped the run *)
+let text_run eng s n eof i =
+  if String.unsafe_get s i = '<' then text_lt eng s n eof i
+  else begin
+    let i = ref i in
+    if not eng.text_nonspace then begin
+      while !i < n && is_space (String.unsafe_get s !i) do
+        incr i
+      done;
+      if !i < n then begin
+        let c = String.unsafe_get s !i in
+        if c <> '<' && c <> '&' then eng.text_nonspace <- true
+      end
+    end;
+    if eng.text_nonspace then
+      while !i < n && String.unsafe_get s !i <> '<' do
+        incr i
+      done;
+    if !i >= n then n
+    else if String.unsafe_get s !i = '&' then entity_step eng s n eof !i
+    else text_lt eng s n eof !i
+  end
+
+let comment_run eng s n i =
+  let i = ref i and d = ref eng.dashes and closed = ref false in
+  while (not !closed) && !i < n do
+    let c = String.unsafe_get s !i in
+    incr i;
+    if c = '-' then incr d
+    else if c = '>' && !d >= 2 then closed := true
+    else d := 0
+  done;
+  eng.dashes <- !d;
+  if !closed then begin
+    ignore (add_child eng);
+    (* the comment node *)
+    eng.mode <- M_text
+  end;
+  !i
+
+let raw_run eng s n i =
+  let cl = eng.raw_close in
+  let cl_len = String.length cl in
+  let i = ref i and m = ref eng.raw_m and nonspace = ref eng.raw_nonspace in
+  while !m < cl_len && !i < n do
+    let c = String.unsafe_get s !i in
+    incr i;
+    if !m > 0 then begin
+      if Char.lowercase_ascii c = String.unsafe_get cl !m then incr m
+      else begin
+        (* the held "</scri…" prefix chars are body, all non-space *)
+        nonspace := true;
+        m := if c = '<' then 1 else 0
+      end
+    end
+    else if c = '<' then m := 1
+    else if not (is_space c) then nonspace := true
+  done;
+  if !m = cl_len then begin
+    if !nonspace then ignore (add_child eng);
+    eng.raw_m <- 0;
+    eng.raw_nonspace <- false;
+    (* the end tag's name starts as the element's own key *)
+    let base = eng.raw_base in
+    let blen = String.length base in
+    eng.raw_name <- reserve eng.raw_name 0 blen;
+    Bytes.blit_string base 0 eng.raw_name 0 blen;
+    eng.raw_len <- blen;
+    eng.mode <- M_rawend
+  end
+  else begin
+    eng.raw_m <- !m;
+    eng.raw_nonspace <- !nonspace
+  end;
+  !i
+
+let rawend_run eng s n i =
+  let i = ref i in
+  while !i < n && is_name_char (String.unsafe_get s !i) do
+    let len = eng.raw_len in
+    if len = Bytes.length eng.raw_name then
+      eng.raw_name <- reserve eng.raw_name len (len + 1);
+    Bytes.unsafe_set eng.raw_name len
+      (Char.uppercase_ascii (String.unsafe_get s !i));
+    eng.raw_len <- len + 1;
+    incr i
+  done;
+  if !i < n then finish_rawend eng;
+  !i
+
+(* one dispatch per construct; each mode runs its own byte loop *)
+let scan eng s n eof =
   let i = ref 0 in
   while !i < n do
-    match eng.mode with
-    | M_comment ->
-        let c = String.unsafe_get s !i in
-        incr i;
-        if c = '-' then eng.dashes <- eng.dashes + 1
-        else if c = '>' && eng.dashes >= 2 then begin
-          ignore (add_child eng);
-          (* the comment node *)
-          eng.mode <- M_text
-        end
-        else eng.dashes <- 0
-    | M_doctype ->
-        let c = String.unsafe_get s !i in
-        incr i;
-        if c = '>' then eng.mode <- M_text
-    | M_skipgt ->
-        let c = String.unsafe_get s !i in
-        incr i;
-        if c = '>' then eng.mode <- M_text
-    | M_rawend ->
-        let c = String.unsafe_get s !i in
-        if is_name_char c then begin
-          Buffer.add_char eng.raw_name (Char.uppercase_ascii c);
-          incr i
-        end
-        else finish_rawend eng
-    | M_raw ->
-        let c = String.unsafe_get s !i in
-        incr i;
-        let cl = eng.raw_close in
-        if eng.raw_m > 0 then begin
-          if Char.lowercase_ascii c = cl.[eng.raw_m] then begin
-            eng.raw_m <- eng.raw_m + 1;
-            if eng.raw_m = String.length cl then begin
-              if eng.raw_nonspace then ignore (add_child eng);
-              eng.raw_m <- 0;
-              eng.raw_nonspace <- false;
-              Buffer.clear eng.raw_name;
-              eng.mode <- M_rawend
-            end
-          end
-          else begin
-            (* the held "</scri…" prefix chars are body, all non-space *)
-            eng.raw_nonspace <- true;
-            if c = '<' then eng.raw_m <- 1
-            else begin
-              eng.raw_m <- 0;
-              if not (is_space c) then eng.raw_nonspace <- true
-            end
-          end
-        end
-        else if c = '<' then eng.raw_m <- 1
-        else if not (is_space c) then eng.raw_nonspace <- true
-    | M_text ->
-        let c = String.unsafe_get s !i in
-        if c = '<' then begin
-          let st = !i in
-          if st + 1 >= n then begin
-            if not eof then raise (Need_more st);
-            (* lone '<' at end of input stays text *)
-            eng.text_nonspace <- true;
-            incr i
-          end
-          else
-            let c1 = s.[st + 1] in
-            if c1 = '!' then begin
-              (* comment needs "<!--" with the fourth byte in range *)
-              if st + 2 >= n then begin
-                if not eof then raise (Need_more st);
-                flush_text eng;
-                eng.mode <- M_doctype;
-                i := st + 2
-              end
-              else if s.[st + 2] <> '-' then begin
-                flush_text eng;
-                eng.mode <- M_doctype;
-                i := st + 2
-              end
-              else if st + 3 >= n then begin
-                if not eof then raise (Need_more st);
-                flush_text eng;
-                eng.mode <- M_doctype;
-                i := st + 2
-              end
-              else if s.[st + 3] = '-' then begin
-                flush_text eng;
-                eng.mode <- M_comment;
-                eng.dashes <- 0;
-                i := st + 4
-              end
-              else begin
-                flush_text eng;
-                eng.mode <- M_doctype;
-                i := st + 2
-              end
-            end
-            else if c1 = '/' then begin
-              if st + 2 >= n then begin
-                if not eof then raise (Need_more st);
-                eng.text_nonspace <- true;
-                incr i
-              end
-              else if is_name_char s.[st + 2] then i := scan_end eng s n eof st
-              else begin
-                eng.text_nonspace <- true;
-                incr i
-              end
-            end
-            else if is_name_char c1 then i := scan_start eng s n eof st
-            else begin
-              eng.text_nonspace <- true;
-              incr i
-            end
-        end
-        else if c = '&' && not eng.text_nonspace then
-          i := entity_step eng s n eof !i
-        else begin
-          if not (is_space c) then eng.text_nonspace <- true;
-          incr i
-        end
+    i :=
+      match eng.mode with
+      | M_text -> text_run eng s n eof !i
+      | M_comment -> comment_run eng s n !i
+      | M_doctype | M_skipgt -> skipgt_run eng s n !i
+      | M_raw -> raw_run eng s n !i
+      | M_rawend -> rawend_run eng s n !i
   done
 
 let finalize eng =
@@ -849,17 +952,47 @@ let finalize eng =
   | M_rawend -> finish_rawend eng
   | M_skipgt -> ());
   eng.mode <- M_text;
-  while eng.stack <> [] do
+  while eng.sp > 0 do
     close_top eng
   done
 
+(* Scan the carry followed by [chunk]; whatever cannot be decided yet
+   becomes the new carry.  The carry is cleared before scanning, so an
+   exception (an unknown symbol, or one raised by on_sym) drops it. *)
+let scan_chunk eng chunk eof =
+  let clen = String.length chunk in
+  if eng.carry_len = 0 then begin
+    match scan eng chunk clen eof with
+    | () -> ()
+    | exception Need_more ->
+        let r = eng.need_at in
+        eng.carry <- reserve eng.carry 0 (clen - r);
+        Bytes.blit_string chunk r eng.carry 0 (clen - r);
+        eng.carry_len <- clen - r
+  end
+  else begin
+    let n = eng.carry_len + clen in
+    eng.carry <- reserve eng.carry eng.carry_len n;
+    Bytes.blit_string chunk 0 eng.carry eng.carry_len clen;
+    eng.carry_len <- 0;
+    match scan eng (Bytes.unsafe_to_string eng.carry) n eof with
+    | () -> ()
+    | exception Need_more ->
+        let r = eng.need_at in
+        Bytes.blit eng.carry r eng.carry 0 (n - r);
+        eng.carry_len <- n - r
+  end
+
 let feed eng chunk eof =
-  let input = if eng.carry = "" then chunk else eng.carry ^ chunk in
-  eng.carry <- "";
-  (try scan eng input eof
-   with Need_more r ->
-     eng.carry <- String.sub input r (String.length input - r));
-  if eof then finalize eng
+  match
+    scan_chunk eng chunk eof;
+    if eof then finalize eng
+  with
+  | () -> publish_interner eng
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      publish_interner eng;
+      Printexc.raise_with_backtrace e bt
 
 (* --- one-shot drivers --- *)
 

@@ -11,7 +11,7 @@
     lexeme slice — no name string, no [Hashtbl] probe on an allocated
     key), replays [Html_tree.of_tokens]'s structural rules (implicit
     closes, void and self-closing elements, the [script]/[style]
-    raw-text model) on an O(depth) stack of open frames, and feeds ids
+    raw-text model) on an O(depth) array stack of open elements, and feeds ids
     to the matcher as they are produced.
 
     Equivalence contract: for every input string — well-formed or not —
@@ -20,6 +20,18 @@
     unknown symbol is reported first, and the extracted node path
     equals the tree path the origin array yields.  The [front] oracle
     layer and the fuzz totality suite check this differentially.
+
+    Allocation contract: once {!stream_make} (or {!word}, {!extract},
+    {!splits}) has built an engine, scanning allocates nothing per tag
+    and per feed and touches no shared memory per tag.  The
+    open-element stack, the carry and the attribute capture live in
+    engine-owned mutable state; interner hits and misses are counted in
+    the engine and published to {!stats} with one atomic update per
+    feed.  Allocation happens only when an engine buffer grows (deeper
+    nesting, a longer carried construct), on the unknown-symbol path,
+    for a refined attribute value containing [&], and for the results
+    of {!word}, {!extract} and {!splits}.  A stream over [k] copies of
+    a page therefore allocates the same minor words for every [k].
 
     Matching runs in {e class} space: the matcher's
     {!Extraction.matcher_compressed} tables collapse symbols with
@@ -93,7 +105,9 @@ val stream_finish : stream -> emit:(int -> unit) -> (unit, string) result
 (** {1 Statistics}
 
     Process-global counters (pages and bytes processed, token tables
-    built and their entry totals, interner hit/miss traffic, and the
+    built and their entry totals, interner hit/miss traffic — every
+    lookup, re-scans of a carried tag included, published when each
+    feed ends, also when [emit] raised — and the
     most recent matcher's symbol-alphabet vs class-table sizes),
     exported as the ["front"] {!Obs.metrics_json} provider and
     printable for [--stats] reports.  Unconditional, like the pool's —

@@ -11,6 +11,30 @@ let is_name_char c =
   || c = '-' || c = '_' || c = ':'
 
 
+(* A numeric character reference body ("#" decimal digits, or "#x" /
+   "#X" hex digits) at s[pos, pos + len): its code when printable ASCII,
+   else -1.  Signs, underscores and radix prefixes are not digits. *)
+let numeric_ref s pos len =
+  if len < 2 || s.[pos] <> '#' then -1
+  else begin
+    let hex = s.[pos + 1] = 'x' || s.[pos + 1] = 'X' in
+    let first = if hex then pos + 2 else pos + 1 in
+    let v = ref (if first < pos + len then 0 else -1) in
+    for k = first to pos + len - 1 do
+      let d =
+        match s.[k] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c when hex -> Char.code c - 87
+        | 'A' .. 'F' as c when hex -> Char.code c - 55
+        | _ -> -1
+      in
+      (* saturate at 127 so long digit runs cannot wrap into range *)
+      if d < 0 || !v < 0 then v := -1
+      else v := min 127 ((!v * if hex then 16 else 10) + d)
+    done;
+    if !v >= 32 && !v < 127 then !v else -1
+  end
+
 (* Decode the basic character entities; unknown entities pass through
    verbatim.  Together with escaping on output this makes
    serialize ∘ parse a fixpoint on text and attribute values. *)
@@ -44,13 +68,8 @@ let decode_entities s =
               | "quot" -> Some "\""
               | "apos" -> Some "'"
               | _ ->
-                  if String.length entity > 1 && entity.[0] = '#' then
-                    let num = String.sub entity 1 (String.length entity - 1) in
-                    match int_of_string_opt num with
-                    | Some c when c >= 32 && c < 127 ->
-                        Some (String.make 1 (Char.chr c))
-                    | _ -> None
-                  else None
+                  let c = numeric_ref entity 0 (String.length entity) in
+                  if c >= 0 then Some (String.make 1 (Char.chr c)) else None
             in
             match decoded with
             | Some d ->

@@ -16,7 +16,15 @@ val tags_only : Html_token.t list -> Html_token.t list
 
 val decode_entities : string -> string
 (** Resolve character references ([&lt;] [&gt;] [&amp;] [&quot;]
-    [&apos;] and numeric [&#n;] for printable ASCII); anything
+    [&apos;], and numeric [&#n;] / [&#xh;] for printable ASCII, where
+    [n] is decimal digits and [h] hex digits only); anything
     unrecognized is kept verbatim.  Exposed so the fused front-end
     ([Front]) can decode a refined attribute-value {e slice} with
     byte-identical semantics to the tree path's attribute decoding. *)
+
+val numeric_ref : string -> int -> int -> int
+(** [numeric_ref s pos len] reads the reference body [s.[pos .. pos+len-1]]
+    (between [&] and [;], e.g. ["#65"] or ["#x41"]) and returns its
+    code when it is a well-formed numeric reference to printable ASCII
+    ([32 <= c < 127]), else [-1].  Shared with [Front], which decides
+    from it whether a reference keeps a text run all-space. *)

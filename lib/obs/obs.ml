@@ -347,6 +347,9 @@ module Counter2 = struct
   let hit t = ignore (Atomic.fetch_and_add t (1 lsl half_bits))
   let miss t = ignore (Atomic.fetch_and_add t 1)
 
+  let add t ~hits ~misses =
+    ignore (Atomic.fetch_and_add t ((hits lsl half_bits) + misses))
+
   let read t =
     let v = Atomic.get t in
     ((v lsr half_bits) land lo_mask, v land lo_mask)

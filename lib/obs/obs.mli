@@ -59,6 +59,11 @@ module Counter2 : sig
   val hit : t -> unit
   val miss : t -> unit
 
+  val add : t -> hits:int -> misses:int -> unit
+  (** [hits] hits and [misses] misses in one atomic update, for
+      callers that count locally and publish in batches (each count
+      below 2{^31}). *)
+
   val read : t -> int * int
   (** [(hits, misses)] from one atomic load: any interleaving of
       concurrent [hit]/[miss] calls yields a pair whose components sum

@@ -56,6 +56,15 @@ let stream_word tbl chunks =
   in
   go chunks
 
+(* [s] cut at the given ascending offsets (duplicates give empty
+   pieces, which the stream must also take) *)
+let cut_at s cuts =
+  let rec go start = function
+    | [] -> [ String.sub s start (String.length s - start) ]
+    | c :: rest -> String.sub s start (c - start) :: go c rest
+  in
+  go 0 cuts
+
 let tests ~count =
   [
     QCheck.Test.make ~count
@@ -94,15 +103,28 @@ let tests ~count =
         let tbl = Front.build ~abs:w.Wrapper.abs w.Wrapper.alpha in
         let whole = word_fused tbl html in
         let cut = String.length html / 2 in
-        let chunked =
-          stream_word tbl
-            [ String.sub html 0 cut;
-              String.sub html cut (String.length html - cut) ]
-          |> Result.map (fun l -> l)
-        in
+        let chunked = stream_word tbl (cut_at html [ cut ]) in
         fused = tree
         && whole = word_tree ~abs:w.Wrapper.abs w.Wrapper.alpha html
         && chunked = whole);
+    QCheck.Test.make ~count
+      ~name:"front: seeded 1-8 cut and 1-byte chunkings ≡ whole page"
+      (QCheck.triple arb_seed (QCheck.int_range 1 8) (QCheck.int_range 0 3))
+      (fun (seed, ncuts, intensity) ->
+        let w, _ = Lazy.force the_wrapper in
+        let rng = Random.State.make [| 0xc075; seed |] in
+        let doc = Perturb.perturb rng ~intensity (page_of_seed seed) in
+        let html = Html_tree.to_string doc in
+        let n = String.length html in
+        let tbl = Front.build ~abs:w.Wrapper.abs w.Wrapper.alpha in
+        let whole = word_fused tbl html in
+        let cuts =
+          List.sort compare
+            (List.init ncuts (fun _ -> Random.State.int rng (n + 1)))
+        in
+        stream_word tbl (cut_at html cuts) = whole
+        && stream_word tbl (List.init n (fun i -> String.make 1 html.[i]))
+           = whole);
     QCheck.Test.make ~count
       ~name:"front: class compression is a sound quotient"
       (QCheck.pair (Oracle_gen.arb_extraction_word_case ()) arb_seed)

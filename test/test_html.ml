@@ -57,6 +57,31 @@ let test_lexer_script () =
     [ "SCRIPT"; "#text"; "/SCRIPT"; "P"; "/P" ]
     {|<script>if (a<b) { x = "<p>"; }</script><p></p>|}
 
+let test_lexer_numeric_refs () =
+  let check input expected =
+    Alcotest.(check string) input expected (Html_lexer.decode_entities input)
+  in
+  (* decimal digits, or x/X then hex digits; leading zeros are digits *)
+  check "&#65;" "A";
+  check "&#x41;" "A";
+  check "&#X41;" "A";
+  check "&#x6a;&#x6A;" "jj";
+  check "&#0065;" "A";
+  check "&#x20;" " ";
+  check "&#00000065;" "A";
+  (* signs, underscores and radix prefixes are not digits *)
+  List.iter
+    (fun s -> check s s)
+    [
+      "&#0x41;"; "&#0o101;"; "&#0b1000001;"; "&#6_5;"; "&#+65;"; "&#-65;";
+      "&#0u65;"; "&# 65;"; "&#x;"; "&#;"; "&#xG1;"; "&#65x;"; "&#x41h;";
+    ];
+  (* printable ASCII only, within the 10-character window *)
+  List.iter
+    (fun s -> check s s)
+    [ "&#31;"; "&#127;"; "&#x7f;"; "&#000000065;" ];
+  check "a&#x3C;b" "a<b"
+
 let test_tree_nesting () =
   let doc = Html_tree.parse "<div><p>one</p><p>two</p></div>" in
   match doc with
@@ -326,6 +351,10 @@ let tricky_pages =
     "<p>a &lt; b &amp;&amp; c &gt; d &quot;q&quot; &#65;</p>";
     "<p>&#32;&#32;</p><div>x</div>";
     "<p>&bogus; &#xyz; &toolongtobeanentity; text</p>";
+    "<p>&#x20;</p><div>&#0x20;</div><p>&#X20;&#+32;&#3_2;</p><b>&#x0020;</b>";
+    "<form><input type=\"&#x74;ext\"><input type=\"&#X72;adio\">\
+     <input type=\"&#0x74;ext\"><input type=&#116;ext></form>";
+    "<form><input type=><input type=\"\"><input type= ''><p>after</form>";
     "<p>a < b</p>";
     "<div></ div><p>x</p>";
     "<div></div junk junk><p>x</p>";
@@ -384,6 +413,186 @@ let test_front_chunking_every_cut () =
       oneshot (List.rev !acc)
   done
 
+(* A numeric reference that decodes to a space keeps a text run
+   all-space, so it adds no text node and does not shift the next
+   element's child index; a malformed one is text.  The fused path must
+   place the P exactly where the tree does. *)
+let test_front_entity_paths () =
+  let alpha = Alphabet.make [ "DIV"; "/DIV"; "P"; "/P" ] in
+  let m = Extraction.compile (Extraction.parse alpha "DIV <P> .*") in
+  let tbl = Front.build alpha in
+  List.iter
+    (fun (ent, index) ->
+      let s = "<div>" ^ ent ^ "<p>x</p></div>" in
+      let tree =
+        match Html_tree.find_elements "P" (Html_tree.parse s) with
+        | (path, _) :: _ -> path
+        | [] -> Alcotest.fail "no P in the tree"
+      in
+      Alcotest.(check (list int)) (s ^ " (tree)") [ 0; index ] tree;
+      match Front.extract tbl m s with
+      | Ok path -> Alcotest.(check (list int)) s tree path
+      | Error _ -> Alcotest.failf "%s: fused extraction failed" s)
+    [
+      ("&#32;", 0); ("&#x20;", 0); ("&#X20;", 0); ("&#032;", 0);
+      (" &#x0020; &#32; ", 0); ("&#0x20;", 1); ("&#+32;", 1); ("&#3_2;", 1);
+      ("&#x20", 1); ("&#x2g;", 1); ("&#65;", 1);
+    ]
+
+(* --- allocation and counter contracts of the fused front-end --- *)
+
+let one_byte = Array.init 256 (fun c -> String.make 1 (Char.chr c))
+
+(* Minor words of one stream over [k] copies of a Figure 1 page, fed
+   whole or one byte per feed.  Chunks and the sink are built before
+   counting, so the count is the engine's own. *)
+let stream_words tbl page ~k ~bytewise =
+  let html = String.concat "" (List.init k (fun _ -> page)) in
+  let chunks =
+    if bytewise then
+      Array.init (String.length html) (fun i -> one_byte.(Char.code html.[i]))
+    else [| html |]
+  in
+  let sum = ref 0 in
+  let emit sym = sum := !sum + sym in
+  let w0 = Gc.minor_words () in
+  let st = Front.stream_make tbl in
+  for i = 0 to Array.length chunks - 1 do
+    match Front.stream_feed st chunks.(i) ~emit with
+    | Ok () -> ()
+    | Error t -> Alcotest.failf "unknown %s" t
+  done;
+  (match Front.stream_finish st ~emit with
+  | Ok () -> ()
+  | Error t -> Alcotest.failf "unknown %s" t);
+  let w = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sum);
+  w
+
+let test_front_no_alloc_per_tag () =
+  List.iter
+    (fun (abs, doc) ->
+      let page = Html_tree.to_string doc in
+      let tbl = Front.build ~abs (Tag_seq.alphabet_of_docs ~abs [ doc ]) in
+      List.iter
+        (fun bytewise ->
+          ignore (stream_words tbl page ~k:1 ~bytewise);
+          let w1 = stream_words tbl page ~k:1 ~bytewise in
+          let w8 = stream_words tbl page ~k:8 ~bytewise in
+          (* one word per tag would be 7 × (tags per copy) more *)
+          check_bool
+            (Printf.sprintf "k=8 allocates as k=1 (%s): %.0f vs %.0f words"
+               (if bytewise then "1-byte chunks" else "whole page")
+               w8 w1)
+            true
+            (Float.abs (w8 -. w1) <= 4.))
+        [ false; true ])
+    [
+      (Abstraction.Tags, Pagegen.figure1_top ());
+      (Abstraction.Tags, Pagegen.figure1_bottom ());
+      ( Abstraction.Tags_with_attrs [ ("INPUT", "type") ],
+        Pagegen.figure1_top () );
+    ]
+
+exception Stop
+
+let chunks_every k s =
+  List.init ((String.length s + k - 1) / k) (fun i ->
+      String.sub s (i * k) (min k (String.length s - (i * k))))
+
+let interner_delta f =
+  let s0 = Front.stats () in
+  f ();
+  let s1 = Front.stats () in
+  ( s1.Front.interner_hits - s0.Front.interner_hits,
+    s1.Front.interner_misses - s0.Front.interner_misses )
+
+(* stream [chunks]; [emit] raises on the [stop_after]th symbol, after
+   which the stream is fed on or, with [abandon], dropped — a session
+   whose budget runs out mid-page ends like that *)
+let stream_run ?(stop_after = -1) ?(abandon = false) tbl chunks =
+  let n = ref 0 and stopped = ref false in
+  let emit _ =
+    incr n;
+    if !n = stop_after then raise Stop
+  in
+  let st = Front.stream_make tbl in
+  List.iter
+    (fun c ->
+      if not (abandon && !stopped) then
+        match Front.stream_feed st c ~emit with
+        | Ok () | Error _ -> ()
+        | exception Stop -> stopped := true)
+    chunks;
+  if not (abandon && !stopped) then ignore (Front.stream_finish st ~emit)
+
+(* Interner traffic is counted per lookup, re-scans of a carried tag
+   included, and published once per feed; these deltas were measured
+   with per-lookup atomic counting and must not move. *)
+let test_front_interner_counts () =
+  let top = Html_tree.to_string (Pagegen.figure1_top ()) in
+  let bottom = Html_tree.to_string (Pagegen.figure1_bottom ()) in
+  let raw =
+    "<div><p>a &#32; b<script>\"</div>\"</script><style>p{}</style ><!-- c \
+     --><table><tr><td>x<td>y</table><blink>z</blink></div>"
+  in
+  let abs = Abstraction.Tags in
+  let alpha =
+    Tag_seq.alphabet_of_docs ~abs
+      [ Html_tree.parse top; Html_tree.parse bottom ]
+  in
+  let tbl = Front.build ~abs alpha in
+  let rabs = Abstraction.Tags_with_attrs [ ("INPUT", "type") ] in
+  let rtbl =
+    Front.build ~abs:rabs
+      (Tag_seq.alphabet_of_docs ~abs:rabs [ Html_tree.parse top ])
+  in
+  let raw_tbl =
+    Front.build ~abs
+      (Alphabet.make
+         [ "DIV"; "/DIV"; "P"; "/P"; "SCRIPT"; "/SCRIPT"; "STYLE"; "/STYLE";
+           "TABLE"; "/TABLE" ])
+  in
+  List.iter
+    (fun (name, f, expected) ->
+      Alcotest.(check (pair int int)) name expected (interner_delta f))
+    [
+      ("top whole", (fun () -> ignore (Front.word tbl top)), (14, 0));
+      ("bottom whole", (fun () -> ignore (Front.word tbl bottom)), (30, 0));
+      ( "top halves",
+        (fun () ->
+          let c = String.length top / 2 in
+          stream_run tbl
+            [ String.sub top 0 c; String.sub top c (String.length top - c) ]),
+        (15, 0) );
+      ("top every 7", (fun () -> stream_run tbl (chunks_every 7 top)), (43, 0));
+      ( "bottom 1-byte",
+        (fun () -> stream_run tbl (chunks_every 1 bottom)),
+        (259, 0) );
+      ( "top refined 1-byte",
+        (fun () -> stream_run rtbl (chunks_every 1 top)),
+        (220, 0) );
+      ( "raw+unknown every 5",
+        (fun () -> stream_run raw_tbl (chunks_every 5 raw)),
+        (7, 1) );
+      ( "raw+unknown 1-byte",
+        (fun () -> stream_run raw_tbl (chunks_every 1 raw)),
+        (7, 1) );
+      ( "top emit raises at 9, every 11",
+        (fun () -> stream_run ~stop_after:9 tbl (chunks_every 11 top)),
+        (27, 0) );
+      ( "bottom emit raises at 20, 1-byte",
+        (fun () -> stream_run ~stop_after:20 tbl (chunks_every 1 bottom)),
+        (259, 0) );
+      ( "top emit raises at 9, whole, abandoned",
+        (fun () -> stream_run ~stop_after:9 ~abandon:true tbl [ top ]),
+        (9, 0) );
+      ( "bottom emit raises at 20, every 13, abandoned",
+        (fun () ->
+          stream_run ~stop_after:20 ~abandon:true tbl (chunks_every 13 bottom)),
+        (22, 0) );
+    ]
+
 let test_front_unknown_symbol () =
   (* an alphabet that misses TABLE: both paths must name TABLE, not
      whatever follows it *)
@@ -407,6 +616,8 @@ let () =
           Alcotest.test_case "attributes" `Quick test_lexer_attrs;
           Alcotest.test_case "malformed input" `Quick test_lexer_malformed;
           Alcotest.test_case "script raw text" `Quick test_lexer_script;
+          Alcotest.test_case "numeric character references" `Quick
+            test_lexer_numeric_refs;
         ] );
       ( "tree",
         [
@@ -445,5 +656,11 @@ let () =
             test_front_chunking_every_cut;
           Alcotest.test_case "unknown-symbol identity" `Quick
             test_front_unknown_symbol;
+          Alcotest.test_case "numeric references place nodes like the tree"
+            `Quick test_front_entity_paths;
+          Alcotest.test_case "no allocation per tag (k=1 vs k=8)" `Quick
+            test_front_no_alloc_per_tag;
+          Alcotest.test_case "interner hit/miss counts" `Quick
+            test_front_interner_counts;
         ] );
     ]

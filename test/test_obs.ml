@@ -135,12 +135,20 @@ let test_counter2_concurrent_consistency () =
   let c = Obs.Counter2.make () in
   let per_domain = 20_000 in
   let stop = Atomic.make false in
+  (* three domains count one event at a time; the fourth publishes the
+     same totals in batches, as the fused front-end does once per feed *)
   let doms =
-    List.init 4 (fun _ ->
+    List.init 4 (fun d ->
         Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              if i land 1 = 0 then Obs.Counter2.hit c else Obs.Counter2.miss c
-            done))
+            if d = 3 then
+              for _ = 1 to per_domain / 100 do
+                Obs.Counter2.add c ~hits:50 ~misses:50
+              done
+            else
+              for i = 1 to per_domain do
+                if i land 1 = 0 then Obs.Counter2.hit c
+                else Obs.Counter2.miss c
+              done))
   in
   (* reader: every pair read mid-traffic must be internally consistent
      — components non-negative, sum within bounds and nondecreasing *)
